@@ -3,12 +3,14 @@
 Exit codes: 0 for positive/affirmative outcomes (stationary, feasible,
 still-unknown searches), 1 for negative ones (refuted, infeasible,
 empty, no configuration), 2 for usage or input errors, 3 for exceeded
-resource budgets.
+resource budgets, 4 for internal errors (a failed exact re-check or any
+other unexpected exception), which are never a verdict.
 """
 
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .lattice import Domain, CapExceeded
@@ -21,7 +23,7 @@ from .engine import (periodic_extension, refute_nonextendible, sft_emptiness,
 from . import corpus as corpus_mod
 from . import harmonic
 
-OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
+OK, NEGATIVE, USAGE, BUDGET, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _load_json(path):
@@ -250,6 +252,10 @@ def main(argv=None):
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -135,85 +135,86 @@ class SearchBudget(Exception):
 class _PatternSearch:
     """Backtracking filler for translate-constrained symbol assignments.
 
-    `cells` is the ordered list of sites to assign.  Each constraint is a
-    sequence of (cell_index, word_position) entries sorted by cell index;
-    a partial assignment must keep every constraint prefix inside the
-    projection of the allowed word set.
+    Cells are assigned in index order.  Each constraint lists the cell
+    indices one placement of the word domain reads, in word order; a
+    partial assignment must keep every constraint's prefix, taken in cell
+    order, inside the projection of the allowed word set.
     """
 
     def __init__(self, alphabet, ncells, constraints, words):
         self.alphabet = alphabet
         self.ncells = ncells
-        # triggers[i]: list of (entries, prefix_set) to check once cell i
-        # is assigned
+        # triggers[i]: (cells, prefix_set) pairs to check once cell i is
+        # assigned; every index in cells is at most i
         self.triggers = [[] for _ in range(ncells)]
         prefix_cache = {}
-        for entries in constraints:
-            order = tuple(pos for _, pos in entries)
+        for placement in constraints:
+            # word positions in cell order; ties keep word order
+            order = tuple(sorted(range(len(placement)),
+                                 key=placement.__getitem__))
             if order not in prefix_cache:
                 prefix_cache[order] = [
                     frozenset(tuple(w[p] for p in order[:m]) for w in words)
                     for m in range(1, len(order) + 1)]
             prefixes = prefix_cache[order]
-            for j, (ci, _) in enumerate(entries):
+            cells = tuple(placement[p] for p in order)
+            for j, ci in enumerate(cells):
                 # a prefix set containing every possible tuple never prunes
                 if len(prefixes[j]) < alphabet ** (j + 1):
-                    self.triggers[ci].append((entries[:j + 1], prefixes[j]))
+                    self.triggers[ci].append((cells[:j + 1], prefixes[j]))
 
     def run(self, node_cap, collect=None, config_cap=None):
         """Depth-first fill; returns the first solution or None.
 
-        With `collect` (a list), gathers every solution instead, up to
-        config_cap.  Raises SearchBudget when a cap is exceeded.
+        With `collect` (a list), gathers every solution instead, in
+        lexicographic order, up to config_cap.  Each symbol tried counts
+        as one node.  Raises SearchBudget when a cap is exceeded.
         """
-        values = [None] * self.ncells
-        nodes = 0
-
-        def ok(i):
-            for entries, prefix in self.triggers[i]:
-                if tuple(values[ci] for ci, _ in entries) not in prefix:
-                    return False
-            return True
-
-        def dfs(i):
-            nonlocal nodes
-            if i == self.ncells:
+        n, alphabet, triggers = self.ncells, self.alphabet, self.triggers
+        values = [-1] * n     # -1: no symbol tried yet at this cell
+        read = values.__getitem__
+        nodes, i = 0, 0
+        while i >= 0:
+            if i == n:
                 if collect is None:
                     return tuple(values)
                 collect.append(tuple(values))
                 if config_cap is not None and len(collect) > config_cap:
                     raise SearchBudget("too many admissible configurations")
-                return None
-            for a in range(self.alphabet):
-                nodes += 1
-                if nodes > node_cap:
-                    raise SearchBudget("node budget exceeded")
-                values[i] = a
-                if ok(i):
-                    found = dfs(i + 1)
-                    if found is not None:
-                        return found
-            values[i] = None
-            return None
+                i -= 1
+                continue
+            a = values[i] + 1
+            if a == alphabet:
+                values[i] = -1
+                i -= 1
+                continue
+            nodes += 1
+            if nodes > node_cap:
+                raise SearchBudget("node budget exceeded")
+            values[i] = a
+            for cells, prefix in triggers[i]:
+                if tuple(map(read, cells)) not in prefix:
+                    break
+            else:
+                i += 1
+        return None
 
-        return dfs(0)
 
+def _placements(U, cells, shifts, wrap=tuple):
+    """Cell indices read by each placement U + t, t in shifts, in word order.
 
-def _window_constraints(T, W):
-    """Constraints for all fully contained translates of T's shape in W."""
-    U = T.domain
-    cons = []
-    for t in translates_inside(U, W):
-        entries = sorted((W.index(add(u, t)), j)
-                         for j, u in enumerate(U.points))
-        cons.append(entries)
-    return cons
+    `wrap` maps a lattice point to its cell: the identity on a window,
+    reduction modulo the periods on a torus.
+    """
+    index = {c: i for i, c in enumerate(cells)}
+    return [[index[wrap(add(u, t))] for u in U.points] for t in shifts]
 
 
 def fill_window(T, W, node_cap=10 ** 7):
     """An admissible configuration of W for the word set T, or None."""
-    search = _PatternSearch(T.alphabet, len(W),
-                            _window_constraints(T, W), T.words)
+    placements = _placements(T.domain, W.points,
+                             translates_inside(T.domain, W))
+    search = _PatternSearch(T.alphabet, len(W), placements, T.words)
     found = search.run(node_cap)
     if found is None:
         return None
@@ -258,17 +259,14 @@ def sft_emptiness(T, windows=None, max_side=6, node_cap=10 ** 7):
     return EmptinessResult("unknown", last, witness)
 
 
-def _torus_constraints(T, module):
-    """Wrapped translate constraints on the torus given by `module`."""
+def _torus_search(T, periods):
+    """The torus cells, in search order, and the pattern search over them."""
+    module = FiniteModule(periods)
+    if module.dim != T.domain.dim:
+        raise ValueError("period vector dimension mismatch")
     cells = module.elements()
-    index = {c: i for i, c in enumerate(cells)}
-    U = T.domain
-    cons = []
-    for g in cells:
-        entries = sorted((index[module.quotient(add(u, g))], j)
-                         for j, u in enumerate(U.points))
-        cons.append(entries)
-    return cons
+    placements = _placements(T.domain, cells, cells, module.quotient)
+    return cells, _PatternSearch(T.alphabet, len(cells), placements, T.words)
 
 
 @dataclass(frozen=True)
@@ -285,12 +283,7 @@ def periodic_config_search(T, periods, node_cap=10 ** 7):
     so any positive period vector is allowed, even shorter than the
     word-set domain.
     """
-    module = FiniteModule(periods)
-    if module.dim != T.domain.dim:
-        raise ValueError("period vector dimension mismatch")
-    cells = module.elements()
-    search = _PatternSearch(T.alphabet, len(cells),
-                            _torus_constraints(T, module), T.words)
+    cells, search = _torus_search(T, periods)
     try:
         found = search.run(node_cap)
     except SearchBudget as exc:
@@ -303,10 +296,7 @@ def periodic_config_search(T, periods, node_cap=10 ** 7):
 def enumerate_periodic_configs(T, periods, node_cap=10 ** 7,
                                config_cap=10 ** 6):
     """All admissible torus configurations, as tuples over the cell order."""
-    module = FiniteModule(periods)
-    cells = module.elements()
-    search = _PatternSearch(T.alphabet, len(cells),
-                            _torus_constraints(T, module), T.words)
+    _, search = _torus_search(T, periods)
     out = []
     search.run(node_cap, collect=out, config_cap=config_cap)
     return out

@@ -9,7 +9,6 @@ them independently within small tolerances.
 import cmath
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .lattice import CapExceeded, cell_cap, add, translates_inside

@@ -39,10 +39,6 @@ def sub(p, q):
     return tuple(a - b for a, b in zip(p, q))
 
 
-def neg(p):
-    return tuple(-a for a in p)
-
-
 @dataclass(frozen=True)
 class Domain:
     """A finite subset of Z^dim with a canonical (lexicographic) point order."""

@@ -2,7 +2,9 @@
 
 Systems are built symbolically (named variables, equality and >=
 constraints, nonnegativity flags) and solved over Fraction with
-Bland's rule, so termination is guaranteed and every verdict is exact.
+Dantzig's rule, switching to Bland's rule after 30 consecutive
+degenerate pivots until the objective moves again, so termination is
+guaranteed and every verdict is exact.
 A pivot cap turns pathological instances into an explicit "aborted"
 verdict rather than a wrong answer.
 """
@@ -93,7 +95,7 @@ class FeasibilityResult:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fraction with Bland's rule."""
+    """Dense simplex tableau over Fraction; Dantzig's rule, Bland on stalls."""
 
     def __init__(self, rows, rhs, ncols):
         self.rows = rows          # list of lists, len ncols each

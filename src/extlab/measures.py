@@ -25,12 +25,6 @@ def _check_symbols(word, alphabet, npoints):
             raise ValueError(f"symbol {s} outside alphabet of size {alphabet}")
 
 
-def project(word, domain, V):
-    """Restrict a word on `domain` to the sub-domain V."""
-    idx = [domain.index(p) for p in V.points]
-    return tuple(word[i] for i in idx)
-
-
 class SignedMeasure:
     """A finitely supported rational signed measure on words over a domain."""
 

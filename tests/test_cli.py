@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from extlab import cli
 from extlab.cli import main
 from extlab.lattice import Domain
 from extlab.measures import Measure, WordSet
-from extlab.corpus import disconnected_counterexample, binary_counter_measure
+from extlab.corpus import (disconnected_counterexample, binary_counter_measure,
+                           eca_rule, ca_to_sft)
 
 
 @pytest.fixture
@@ -108,6 +110,25 @@ def test_tiling_and_perconfig(write_json, capsys):
     assert code == 1
 
 
+def test_perconfig_deep_torus(write_json, capsys):
+    # 1600 cells, one search level each: deeper than Python's default
+    # recursion limit of 1000
+    rule, U = eca_rule(110)
+    _, eca = ca_to_sft(rule, U, 2)
+    path = write_json("eca110.json", eca.to_json_dict())
+    code, out = run(capsys, ["perconfig", path, "--period", "40,40"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "found"
+    grid = {tuple(map(int, key.split(","))): s
+            for key, s in data["config"].items()}
+    assert len(grid) == 1600
+    for x, y in grid:
+        word = tuple(grid[((x + u) % 40, (y + v) % 40)]
+                     for u, v in eca.domain.points)
+        assert word in eca.words
+
+
 def test_fourier(write_json, capsys):
     path = write_json("mu.json", biased_pair().to_json_dict())
     code, out = run(capsys, ["fourier", path])
@@ -165,3 +186,13 @@ def test_budget_exit_code(capsys, monkeypatch):
     code = main(["corpus", "eca", "--k", "110"])
     assert code == 3
     capsys.readouterr()
+
+
+def test_internal_error_exit_code(write_json, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("exact re-check failed")
+
+    monkeypatch.setattr(cli, "cmd_stationary", broken)
+    path = write_json("good.json", biased_pair().to_json_dict())
+    assert main(["stationary", path]) == 4
+    assert "internal error:" in capsys.readouterr().err

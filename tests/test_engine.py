@@ -13,13 +13,14 @@ from extlab.engine import (build_window_polytope, sft_emptiness, fill_window,
                            periodic_config_search, enumerate_periodic_configs,
                            periodic_extension, pullback_periodic,
                            transported_base, compute_H, epsilon_bound,
-                           refute_nonextendible)
-from extlab.lp import FEASIBLE, INFEASIBLE
+                           refute_nonextendible, SearchBudget)
+from extlab.lp import FEASIBLE, INFEASIBLE, ABORTED
 from extlab import harmonic
 from extlab.corpus import (disconnected_counterexample, pseudolattice_measure,
                            binary_counter_measure, binary_counter_support)
 
-from support import brute_force_fillable, random_measure
+from support import (brute_force_fillable, brute_force_torus_configs,
+                     random_measure)
 
 
 def biased_pair():
@@ -160,6 +161,67 @@ def test_enumerate_periodic_configs_counts():
     # golden mean on a 3-cycle: 000, 001, 010, 100
     configs = enumerate_periodic_configs(golden_mean(), (3,))
     assert len(configs) == 4
+
+
+def test_enumerate_periodic_configs_matches_brute_force():
+    # random word sets on 1-D and 2-D domains, including tori with
+    # periods shorter than the word domain (placements wrap onto
+    # themselves); the search must list exactly the brute-force
+    # fillings, in the same lexicographic order
+    rng = random.Random(31)
+    domains_1d = [Domain.interval(0, 1), Domain.interval(0, 2),
+                  Domain(1, [(0,), (2,)])]
+    domains_2d = [Domain.box(2, (2, 1)), Domain.box(2, 2),
+                  Domain(2, [(0, 0), (1, 1)])]
+    for trial in range(40):
+        if trial % 2:
+            U = rng.choice(domains_2d)
+            periods = (rng.randint(1, 3), rng.randint(1, 3))
+        else:
+            U = rng.choice(domains_1d)
+            periods = (rng.randint(1, 6),)
+        A = 2 if len(U) > 2 or len(periods) == 2 else rng.choice([2, 3])
+        allw = list(itertools.product(range(A), repeat=len(U)))
+        words = [w for w in allw if rng.random() < 0.6] or [allw[0]]
+        T = WordSet(U, A, words)
+        cells = FiniteModule(periods).elements()
+        expected = [tuple(grid[c] for c in cells)
+                    for grid in brute_force_torus_configs(U, A, T.words,
+                                                          periods)]
+        assert enumerate_periodic_configs(T, periods) == expected
+
+
+def test_enumerate_periodic_configs_dimension_mismatch():
+    T = WordSet(Domain.box(2, 2), 2, [(0, 0, 0, 0)])
+    with pytest.raises(ValueError):
+        enumerate_periodic_configs(T, (4,))
+
+
+def test_search_node_budget():
+    # the first filling of six cells tries exactly one symbol per cell
+    W = Domain.interval(0, 5)
+    assert fill_window(golden_mean(), W, node_cap=6) is not None
+    with pytest.raises(SearchBudget, match="node budget"):
+        fill_window(golden_mean(), W, node_cap=5)
+    res = periodic_config_search(golden_mean(), (8,), node_cap=5)
+    assert res.status == "aborted"
+    assert "node budget" in res.reason
+    # windows of 1, 2 and 3 cells fit in 3 nodes, the 4-cell one does not
+    full = WordSet(Domain.interval(0, 1), 2,
+                   [(0, 0), (0, 1), (1, 0), (1, 1)])
+    res = sft_emptiness(full, max_side=4, node_cap=3)
+    assert res.status == "unknown"
+    assert res.reason == "search budget: node budget exceeded"
+    assert res.window == Domain.box(1, 3)
+
+
+def test_periodic_extension_config_cap():
+    # the uniform pair admits all 16 fillings of the 4-cycle
+    mu = Measure.uniform(Domain.interval(0, 1), 2)
+    assert periodic_extension(mu, (4,), config_cap=16).status == FEASIBLE
+    res = periodic_extension(mu, (4,), config_cap=15)
+    assert res.status == ABORTED
+    assert "too many admissible configurations" in res.envelope_warning
 
 
 # ---------------------------------------------------------------------------
