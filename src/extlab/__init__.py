@@ -3,7 +3,7 @@
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded,
                       envelope_for, verify_envelope, translates_inside)
 from .measures import (Measure, SignedMeasure, WordSet, tv_distance,
-                       convex_combine, subtract, is_locally_stationary,
+                       convex_combine, is_locally_stationary,
                        finite_window_entropy, conditional_entropy,
                        entropy_metric, entropy_chain_refute,
                        support_word_set, random_stationary_measure)

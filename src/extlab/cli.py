@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lattice import Domain, CapExceeded
 from .measures import (Measure, WordSet, is_locally_stationary,
-                       entropy_metric, finite_window_entropy)
+                       entropy_metric, finite_window_entropy, word_key)
 from .markov import MarkovExtension, entropy_rate
 from .engine import (periodic_extension, refute_nonextendible, sft_emptiness,
                      periodic_config_search, epsilon_bound,
@@ -113,8 +113,7 @@ def cmd_perconfig(args):
     periods = tuple(int(p) for p in args.period.split(","))
     res = periodic_config_search(T, periods)
     _emit({"status": res.status,
-           "config": {",".join(map(str, c)): s
-                      for c, s in sorted(res.config.items())},
+           "config": {word_key(c): s for c, s in sorted(res.config.items())},
            "reason": res.reason})
     if res.status == "found":
         return OK
@@ -127,8 +126,7 @@ def cmd_fourier(args):
     ok, witness = harmonic.check_stationarity_fourier(mu)
     table = {}
     for chi, c in coeffs.items():
-        key = ";".join(f"{','.join(map(str, p))}:{e}"
-                       for p, e in chi.exponents) or "1"
+        key = ";".join(f"{word_key(p)}:{e}" for p, e in chi.exponents) or "1"
         table[key] = [c.real, c.imag]
     _emit({"coefficients": table,
            "parseval_residual": harmonic.parseval_residual(mu),
@@ -149,32 +147,32 @@ def cmd_entropy_metric(args):
     return OK
 
 
+def _disconnected(args):
+    if not args.rho:
+        return corpus_mod.disconnected_counterexample()
+    rho = [Fraction(r) for r in args.rho.split(",")]
+    return corpus_mod.disconnected_counterexample(len(rho), rho)
+
+
+def _eca(args):
+    rule, U = corpus_mod.eca_rule(args.k)
+    return corpus_mod.ca_to_sft(rule, U, 2)[1]
+
+
+# built-in instance name -> builder from the parsed arguments
+CORPUS = {
+    "disconnected": _disconnected,
+    "pseudolattice": lambda args: corpus_mod.pseudolattice_measure(),
+    "pseudolattice-support": lambda args: corpus_mod.pseudolattice_support(),
+    "robinson": lambda args: corpus_mod.robinson_word_set(args.d_reading),
+    "counter": lambda args: corpus_mod.binary_counter_measure(args.k),
+    "counter-support": lambda args: corpus_mod.binary_counter_support(args.k),
+    "eca": _eca,
+}
+
+
 def cmd_corpus(args):
-    name = args.name
-    if name == "disconnected":
-        if args.rho:
-            rho = [Fraction(r) for r in args.rho.split(",")]
-            data = corpus_mod.disconnected_counterexample(
-                len(rho), rho).to_json_dict()
-        else:
-            data = corpus_mod.disconnected_counterexample().to_json_dict()
-    elif name == "pseudolattice":
-        data = corpus_mod.pseudolattice_measure().to_json_dict()
-    elif name == "pseudolattice-support":
-        data = corpus_mod.pseudolattice_support().to_json_dict()
-    elif name == "robinson":
-        data = corpus_mod.robinson_word_set(args.d_reading).to_json_dict()
-    elif name == "counter":
-        data = corpus_mod.binary_counter_measure(args.k).to_json_dict()
-    elif name == "counter-support":
-        data = corpus_mod.binary_counter_support(args.k).to_json_dict()
-    elif name == "eca":
-        rule, U = corpus_mod.eca_rule(args.k)
-        _, words = corpus_mod.ca_to_sft(rule, U, 2)
-        data = words.to_json_dict()
-    else:
-        raise ValueError(f"unknown corpus entry {name!r}")
-    _emit(data, args.out)
+    _emit(CORPUS[args.name](args).to_json_dict(), args.out)
     return OK
 
 
@@ -228,9 +226,7 @@ def build_parser():
     p.set_defaults(func=cmd_entropy_metric)
 
     p = sub.add_parser("corpus", help="emit a built-in instance")
-    p.add_argument("name", choices=["disconnected", "pseudolattice",
-                                    "pseudolattice-support", "robinson",
-                                    "counter", "counter-support", "eca"])
+    p.add_argument("name", choices=list(CORPUS))
     p.add_argument("--rho", help="probability vector, e.g. 1/2,1/2")
     p.add_argument("--k", type=int, default=3,
                    help="counter size / ECA rule number")

@@ -20,14 +20,14 @@ from fractions import Fraction
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded, cell_cap,
                       add, sub, translates_inside, verify_envelope)
 from .measures import (Measure, WordSet, is_locally_stationary,
-                       entropy_chain_refute, support_word_set,
-                       _overlap_shifts)
+                       entropy_chain_refute, support_word_set, word_key,
+                       _overlaps)
 from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                  FEASIBLE, INFEASIBLE, ABORTED, DEFAULT_PIVOT_LIMIT)
 
 
 def _var(word):
-    return "x" + ",".join(map(str, word))
+    return "x" + word_key(word)
 
 
 # ---------------------------------------------------------------------------
@@ -90,16 +90,10 @@ def build_window_polytope(mu, W, cap=None):
         system.add_variable(_var(w), nonneg=True)
     system.add_eq({_var(w): 1 for w in words}, 1)
 
-    def restriction_indices(V):
-        return [W.index(p) for p in V.points]
-
     # stationarity via maximal overlaps
-    for k in _overlap_shifts(W):
-        V = W.intersection(W.shift(tuple(-c for c in k)))
-        if not V.points:
-            continue
-        left = restriction_indices(V)
-        right = restriction_indices(V.shift(k))
+    zero = (0,) * W.dim
+    for V, k in _overlaps(W):
+        left, right = _placements(V, W, [zero, k])
         groups = defaultdict(dict)
         for w in words:
             bl = tuple(w[i] for i in left)
@@ -113,8 +107,7 @@ def build_window_polytope(mu, W, cap=None):
                 system.add_eq(coeffs, 0)
 
     # marginal constraints on every translate of U inside W
-    for t in anchors:
-        idx = restriction_indices(U.shift(t))
+    for idx in _placements(U, W, anchors):
         groups = defaultdict(list)
         for w in words:
             groups[tuple(w[i] for i in idx)].append(_var(w))
@@ -203,17 +196,16 @@ class _PatternSearch:
 def _placements(U, cells, shifts, wrap=tuple):
     """Cell indices read by each placement U + t, t in shifts, in word order.
 
+    `cells` is the Domain of cells: a window, or the cells of a torus.
     `wrap` maps a lattice point to its cell: the identity on a window,
     reduction modulo the periods on a torus.
     """
-    index = {c: i for i, c in enumerate(cells)}
-    return [[index[wrap(add(u, t))] for u in U.points] for t in shifts]
+    return [[cells.index(wrap(add(u, t))) for u in U.points] for t in shifts]
 
 
 def fill_window(T, W, node_cap=10 ** 7):
     """An admissible configuration of W for the word set T, or None."""
-    placements = _placements(T.domain, W.points,
-                             translates_inside(T.domain, W))
+    placements = _placements(T.domain, W, translates_inside(T.domain, W))
     search = _PatternSearch(T.alphabet, len(W), placements, T.words)
     found = search.run(node_cap)
     if found is None:
@@ -259,13 +251,18 @@ def sft_emptiness(T, windows=None, max_side=6, node_cap=10 ** 7):
     return EmptinessResult("unknown", last, witness)
 
 
+def _cell_domain(module):
+    """The torus cells; their order is module.elements()."""
+    return Domain(module.dim, module.elements())
+
+
 def _torus_search(T, periods):
     """The torus cells, in search order, and the pattern search over them."""
     module = FiniteModule(periods)
     if module.dim != T.domain.dim:
         raise ValueError("period vector dimension mismatch")
-    cells = module.elements()
-    placements = _placements(T.domain, cells, cells, module.quotient)
+    cells = _cell_domain(module)
+    placements = _placements(T.domain, cells, cells.points, module.quotient)
     return cells, _PatternSearch(T.alphabet, len(cells), placements, T.words)
 
 
@@ -316,17 +313,10 @@ class PeriodicExtensionResult:
     lp_digest: str = ""
 
 
-def _cell_domain(module):
-    return Domain(module.dim, module.elements())
-
-
-def _orbit_partition(configs, module):
+def _orbit_partition(configs, module, cells):
     """Group configurations into translation orbits; return orbit lists."""
-    cells = module.elements()
-    index = {c: i for i, c in enumerate(cells)}
-    perms = []
-    for g in cells:
-        perms.append([index[module.quotient(sub(c, g))] for c in cells])
+    perms = [[cells.index(module.quotient(sub(c, g))) for c in cells]
+             for g in cells]
     orbits = {}
     pool = set(configs)
     for cfg in configs:
@@ -343,10 +333,11 @@ def transported_base(mu, module):
     """The base measure re-indexed by torus cells phi(U), cell order."""
     U = mu.domain
     images = [module.quotient(p) for p in U.points]
-    if len(set(images)) != len(images):
-        raise ValueError("quotient map is not injective on the base domain")
     target = Domain(module.dim, images)
-    perm = [images.index(p) for p in target.points]
+    if len(target) != len(images):
+        raise ValueError("quotient map is not injective on the base domain")
+    # base sites in target order
+    perm = sorted(range(len(images)), key=images.__getitem__)
     masses = {tuple(w[i] for i in perm): m for w, m in mu.masses.items()}
     return Measure(target, mu.alphabet, masses)
 
@@ -380,11 +371,9 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     except SearchBudget as exc:
         return PeriodicExtensionResult(ABORTED, module,
                                        envelope_warning=str(exc))
-    orbits = _orbit_partition(configs, module)
-
-    cells = module.elements()
-    index = {c: i for i, c in enumerate(cells)}
-    base_idx = [index[module.quotient(u)] for u in mu.domain.points]
+    cells = _cell_domain(module)
+    orbits = _orbit_partition(configs, module, cells)
+    base_idx = [cells.index(module.quotient(u)) for u in mu.domain.points]
 
     system = LinearSystem()
     counts = []
@@ -416,10 +405,10 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
         if y != 0:
             for cfg in orbit:
                 masses[cfg] = y
-    nu = Measure(_cell_domain(module), mu.alphabet, masses)
+    nu = Measure(cells, mu.alphabet, masses)
     # exact re-check of the defining marginal property
-    target = Domain(module.dim, [cells[i] for i in base_idx])
-    if nu.marginal(target).masses != transported_base(mu, module).masses:
+    base = transported_base(mu, module)
+    if nu.marginal(base.domain).masses != base.masses:
         raise AssertionError("torus solution fails exact marginal re-check")
     result.torus_measure = nu
     return result
@@ -427,9 +416,8 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
 
 def pullback_periodic(nu, module, W):
     """Read the periodic measure nu on a window W of the full lattice."""
-    cells = module.elements()
-    index = {c: i for i, c in enumerate(cells)}
-    idx = [index[module.quotient(p)] for p in W.points]
+    cells = _cell_domain(module)
+    idx = [cells.index(module.quotient(p)) for p in W.points]
     out = defaultdict(Fraction)
     for cfg, mass in nu.masses.items():
         out[tuple(cfg[i] for i in idx)] += mass
@@ -501,12 +489,9 @@ def refute_nonextendible(mu, max_window=4, windows=None, lp_cap=None,
 
     chain = entropy_chain_refute(mu, horizon=max(sides) - 1 or 1)
     if chain.verdict == "refuted":
-        lo = [min(min(p[i] for p in chain.path),
-                  min(p[i] for p in mu.domain.points)) for i in range(D)]
-        hi = [max(max(p[i] for p in chain.path),
-                  max(p[i] for p in mu.domain.points)) for i in range(D)]
-        W = Domain.box(D, tuple(h - l + 1 for l, h in zip(lo, hi)),
-                       origin=tuple(lo))
+        box = Domain(D, chain.path + mu.domain.points).bounding_box()
+        W = Domain.box(D, tuple(hi - lo + 1 for lo, hi in box),
+                       origin=tuple(lo for lo, _ in box))
         return RefutationReport("refuted", "entropy-chain", W,
                                 {"pair": chain.pair, "chain": chain.path})
 

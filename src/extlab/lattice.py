@@ -53,6 +53,10 @@ class Domain:
                 raise ValueError(f"point {p} does not have dimension {dim}")
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "points", tuple(pts))
+        # point -> position in `points`; not a dataclass field, so ==,
+        # hash and repr still read dim and points only
+        object.__setattr__(self, "_position",
+                           {p: i for i, p in enumerate(pts)})
 
     def __len__(self):
         return len(self.points)
@@ -61,14 +65,19 @@ class Domain:
         return iter(self.points)
 
     def __contains__(self, p):
-        return tuple(p) in self.point_set
+        return tuple(p) in self._position
 
     @property
     def point_set(self):
-        return frozenset(self.points)
+        """The points as a set-like view."""
+        return self._position.keys()
 
     def index(self, p):
-        return self.points.index(tuple(p))
+        """Position of p in `points`; ValueError if p is not a point."""
+        try:
+            return self._position[tuple(p)]
+        except KeyError:
+            raise ValueError(f"{tuple(p)} is not in the domain") from None
 
     def shift(self, k):
         """Translate every point by the vector k."""

@@ -10,11 +10,58 @@ arithmetic; entropy is the only float-valued quantity.
 import itertools
 import math
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Domain, CapExceeded, cell_cap, sub, add
+
+
+def word_key(word):
+    """The JSON key of a word (or lattice point): comma-joined integers."""
+    return ",".join(map(str, word))
+
+
+def parse_word_key(key):
+    """Inverse of word_key; ValueError on anything else."""
+    if not isinstance(key, str):
+        raise ValueError(f"word key {key!r} is not a string")
+    word = tuple(int(s) for s in key.split(",")) if key else ()
+    if word_key(word) != key:
+        raise ValueError(f"malformed word key {key!r}")
+    return word
+
+
+# what str(Fraction) emits: an integer, or p/q with q > 0
+_MASS = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _parse_mass(val):
+    if not (isinstance(val, str) and _MASS.fullmatch(val)):
+        raise ValueError(f"mass {val!r} is not a \"p/q\" string, q > 0")
+    return Fraction(val)
+
+
+def _header_to_json(domain, alphabet):
+    return {"dim": domain.dim, "alphabet": alphabet,
+            "domain": [list(p) for p in domain.points]}
+
+
+def _header_from_json(data):
+    """(domain, alphabet) from a JSON object, types checked."""
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    for name in ("dim", "alphabet"):
+        if type(data[name]) is not int or data[name] < 1:
+            raise ValueError(f"{name} must be an integer >= 1, "
+                             f"got {data[name]!r}")
+    points = data["domain"]
+    if not (isinstance(points, list) and all(
+            isinstance(p, list) and all(type(x) is int for x in p)
+            for p in points)):
+        raise ValueError("domain must be a list of integer coordinate lists")
+    return Domain(data["dim"], points), data["alphabet"]
 
 
 def _check_symbols(word, alphabet, npoints):
@@ -75,24 +122,18 @@ class SignedMeasure:
         return type(self)(V, self.alphabet, out)
 
     def to_json_dict(self):
-        return {
-            "dim": self.domain.dim,
-            "alphabet": self.alphabet,
-            "domain": [list(p) for p in self.domain.points],
-            "masses": {
-                ",".join(map(str, w)): str(m)
-                for w, m in sorted(self.masses.items())
-            },
-        }
+        return {**_header_to_json(self.domain, self.alphabet),
+                "masses": {word_key(w): str(m)
+                           for w, m in sorted(self.masses.items())}}
 
     @classmethod
     def from_json_dict(cls, data):
-        domain = Domain(data["dim"], data["domain"])
-        masses = {}
-        for key, val in data["masses"].items():
-            word = tuple(int(s) for s in key.split(",")) if key else ()
-            masses[word] = Fraction(val)
-        return cls(domain, data["alphabet"], masses)
+        domain, alphabet = _header_from_json(data)
+        masses = data["masses"]
+        if not isinstance(masses, dict):
+            raise ValueError("masses must be a JSON object")
+        return cls(domain, alphabet, {parse_word_key(key): _parse_mass(val)
+                                      for key, val in masses.items()})
 
 
 class Measure(SignedMeasure):
@@ -159,32 +200,22 @@ def convex_combine(t, mu, nu):
     return Measure(mu.domain, mu.alphabet, out)
 
 
-def subtract(mu, nu):
-    if mu.domain != nu.domain or mu.alphabet != nu.alphabet:
-        raise ValueError("measures live on different spaces")
-    out = defaultdict(Fraction)
-    for w, m in mu.masses.items():
-        out[w] += m
-    for w, m in nu.masses.items():
-        out[w] -= m
-    return SignedMeasure(mu.domain, mu.alphabet, out)
-
-
 @dataclass(frozen=True)
 class StationarityResult:
     ok: bool
     witness: tuple  # () if ok, else (V points, word, shift k)
 
 
-def _overlap_shifts(domain):
-    """Nonzero difference vectors between domain points, one per +/- pair."""
-    seen = set()
-    for p in domain.points:
-        for q in domain.points:
-            d = sub(q, p)
-            if d > (0,) * domain.dim and d not in seen:
-                seen.add(d)
-    return sorted(seen)
+def _overlaps(domain):
+    """(V, k) for each nonzero shift k = q - p between domain points, one
+    per +/- pair, in increasing order, with V = domain cap (domain - k).
+
+    Both V and V + k lie in the domain, and V is never empty: it holds p.
+    """
+    zero = (0,) * domain.dim
+    shifts = {sub(q, p) for p in domain.points for q in domain.points}
+    for k in sorted(d for d in shifts if d > zero):
+        yield domain.intersection(domain.shift(tuple(-c for c in k))), k
 
 
 def is_locally_stationary(mu):
@@ -195,11 +226,7 @@ def is_locally_stationary(mu):
     every such k is equivalent to agreement for all translated sub-domain
     pairs inside U.
     """
-    U = mu.domain
-    for k in _overlap_shifts(U):
-        V = U.intersection(U.shift(tuple(-c for c in k)))
-        if not V.points:
-            continue
+    for V, k in _overlaps(mu.domain):
         left = mu.marginal(V)
         right = mu.marginal(V.shift(k))
         words = set(left.masses) | set(right.masses)
@@ -359,19 +386,16 @@ class WordSet:
         return tuple(w) in self.words
 
     def to_json_dict(self):
-        return {
-            "dim": self.domain.dim,
-            "alphabet": self.alphabet,
-            "domain": [list(p) for p in self.domain.points],
-            "words": sorted(",".join(map(str, w)) for w in self.words),
-        }
+        return {**_header_to_json(self.domain, self.alphabet),
+                "words": sorted(word_key(w) for w in self.words)}
 
     @classmethod
     def from_json_dict(cls, data):
-        domain = Domain(data["dim"], data["domain"])
-        words = [tuple(int(s) for s in key.split(",")) if key else ()
-                 for key in data["words"]]
-        return cls(domain, data["alphabet"], words)
+        domain, alphabet = _header_from_json(data)
+        keys = data["words"]
+        if not isinstance(keys, list):
+            raise ValueError("words must be a JSON list")
+        return cls(domain, alphabet, map(parse_word_key, keys))
 
 
 def support_word_set(mu):

@@ -181,6 +181,57 @@ def test_usage_errors(write_json, capsys, tmp_path):
     capsys.readouterr()
 
 
+def one_site(masses, **header):
+    return {"dim": 1, "alphabet": 2, "domain": [[0]], "masses": masses,
+            **header}
+
+
+def exit_code(write_json, capsys, command, data):
+    code = main([command, write_json("input.json", data)])
+    capsys.readouterr()
+    return code
+
+
+def test_masses_must_be_fraction_strings(write_json, capsys):
+    assert exit_code(write_json, capsys, "stationary",
+                     one_site({"0": "1", "1": "0"})) == 0
+    for mass in (0.5, "5e-1", "0.5", " 1/2", "+1/2"):
+        data = one_site({"0": mass, "1": mass})
+        assert exit_code(write_json, capsys, "stationary", data) == 2, mass
+
+
+def test_zero_denominator_is_an_input_error(write_json, capsys):
+    for mass in ("1/0", "0/0", "1/00"):
+        data = one_site({"0": mass, "1": "1"})
+        assert exit_code(write_json, capsys, "stationary", data) == 2, mass
+
+
+def test_json_types_are_checked(write_json, capsys):
+    for data in (one_site({"0": "1"}, domain=5),
+                 one_site({"0": "1"}, domain=[5]),
+                 one_site(["1"]),
+                 [1, 2]):
+        assert exit_code(write_json, capsys, "stationary", data) == 2, data
+    for words in (5, [0], [[0]]):
+        data = {"dim": 1, "alphabet": 2, "domain": [[0]], "words": words}
+        assert exit_code(write_json, capsys, "tiling", data) == 2, words
+
+
+def test_word_keys_must_be_canonical(write_json, capsys):
+    for masses in ({"00": "1"}, {" 0": "1"}, {"0": "1/2", "00": "1/2"}):
+        data = one_site(masses)
+        assert exit_code(write_json, capsys, "stationary", data) == 2, masses
+
+
+def test_alphabet_and_dim_must_be_positive_integers(write_json, capsys):
+    empty = {"dim": 1, "alphabet": 2, "domain": [], "masses": {"": "1"}}
+    assert exit_code(write_json, capsys, "stationary", empty) == 0
+    for header in ({"alphabet": 0}, {"alphabet": "2"}, {"alphabet": 2.5},
+                   {"dim": 0}, {"dim": True}, {"dim": 1.0}):
+        data = {**empty, **header}
+        assert exit_code(write_json, capsys, "stationary", data) == 2, header
+
+
 def test_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("EXTLAB_CAP_CELLS", "5")
     code = main(["corpus", "eca", "--k", "110"])

@@ -84,6 +84,19 @@ def test_polytope_2d():
     assert got.marginal(Domain.box(2, 2).shift((1, 0))).masses == mu.masses
 
 
+def test_polytope_digests_are_pinned():
+    # a digest changes with any variable name, row order or coefficient
+    cases = [
+        (biased_pair(), Domain.interval(0, 4), "d3db42a3645a5feb"),
+        (Measure.uniform(Domain.box(2, 2), 2), Domain.box(2, (2, 3)),
+         "156b12f84c4f5229"),
+        (disconnected_counterexample(), Domain.interval(0, 3),
+         "7a6e3ad2b18875bf"),
+    ]
+    for mu, W, digest in cases:
+        assert build_window_polytope(mu, W).system.digest() == digest
+
+
 def test_polytope_cap():
     mu = pseudolattice_measure()
     with pytest.raises(CapExceeded):

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from extlab.lattice import Domain
-from extlab.measures import (Measure, SignedMeasure, WordSet, tv_distance,
-                             convex_combine, subtract, is_locally_stationary,
+from extlab.measures import (Measure, WordSet, tv_distance,
+                             convex_combine, is_locally_stationary,
                              finite_window_entropy, conditional_entropy,
                              entropy_metric, entropy_chain_refute,
                              support_word_set, random_stationary_measure)
@@ -92,10 +92,6 @@ def test_tv_distance_and_convex_combine():
     mid = convex_combine(F(1, 2), a, b)
     assert mid[(0, 0)] == F(3, 8)
     assert tv_distance(a, mid) == F(1, 4)
-    d = subtract(a, b)
-    assert isinstance(d, SignedMeasure)
-    assert d.total_mass() == 0
-    assert d[(0, 1)] == F(-1, 4)
 
 
 def test_entropy_values():
