@@ -11,11 +11,11 @@ import argparse
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from .lattice import Domain, CapExceeded
 from .measures import (Measure, WordSet, is_locally_stationary,
-                       entropy_metric, finite_window_entropy, word_key)
+                       entropy_metric, finite_window_entropy, word_key,
+                       _parse_mass)
 from .markov import MarkovExtension, entropy_rate
 from .engine import (periodic_extension, refute_nonextendible, sft_emptiness,
                      periodic_config_search, epsilon_bound,
@@ -150,7 +150,7 @@ def cmd_entropy_metric(args):
 def _disconnected(args):
     if not args.rho:
         return corpus_mod.disconnected_counterexample()
-    rho = [Fraction(r) for r in args.rho.split(",")]
+    rho = [_parse_mass(r) for r in args.rho.split(",")]
     return corpus_mod.disconnected_counterexample(len(rho), rho)
 
 

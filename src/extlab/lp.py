@@ -1,15 +1,17 @@
 """Exact rational linear feasibility via two-phase primal simplex.
 
 Systems are built symbolically (named variables, equality and >=
-constraints, nonnegativity flags) and solved over Fraction with
-Dantzig's rule, switching to Bland's rule after 30 consecutive
-degenerate pivots until the objective moves again, so termination is
-guaranteed and every verdict is exact.
+constraints, nonnegativity flags) and solved exactly over integer rows
+(see _Tableau) with Dantzig's rule, switching to Bland's rule after 30
+consecutive degenerate pivots until the objective moves again, so
+termination is guaranteed.  Only the solution read out is a Fraction,
+and it is re-verified exactly against the system.
 A pivot cap turns pathological instances into an explicit "aborted"
 verdict rather than a wrong answer.
 """
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,47 +96,57 @@ class FeasibilityResult:
     pivots: int = 0
 
 
-class _Tableau:
-    """Dense simplex tableau over Fraction; Dantzig's rule, Bland on stalls."""
+def _reduce(row):
+    """Divide an int row by the gcd of its entries (a positive scale)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    def __init__(self, rows, rhs, ncols):
-        self.rows = rows          # list of lists, len ncols each
-        self.rhs = rhs
+
+class _Tableau:
+    """Dense simplex tableau over int rows; Dantzig's rule, Bland on stalls.
+
+    Row i is a list of ints, rhs last, standing for itself divided by
+    rows[i][basis[i]] > 0.  A fraction-free pivot turns each row with a
+    nonzero f in the pivot column into row*p - f*prow over its gcd.
+    Reduced costs are an int row up to a positive scale and the ratio
+    test cross-multiplies, so every choice is the rational tableau's.
+    """
+
+    def __init__(self, rows, ncols, basis):
+        self.rows = rows          # list of lists, len ncols + 1 each
         self.ncols = ncols
-        self.basis = [None] * len(rows)
+        self.basis = basis
         self.pivots = 0
 
     def pivot(self, r, c):
-        piv = self.rows[r][c]
-        inv = 1 / piv
-        row = self.rows[r]
-        self.rows[r] = [x * inv if x else x for x in row]
-        self.rhs[r] *= inv
         prow = self.rows[r]
+        if prow[c] < 0:
+            prow = self.rows[r] = [-x for x in prow]
+        p = prow[c]
         for i, other in enumerate(self.rows):
-            if i != r and other[c] != 0:
-                f = other[c]
-                self.rows[i] = [x - f * y if y else x
-                                for x, y in zip(other, prow)]
-                self.rhs[i] -= f * self.rhs[r]
+            f = other[c]
+            if i != r and f:
+                self.rows[i] = _reduce([x * p - f * y if y else x * p
+                                        for x, y in zip(other, prow)])
         self.basis[r] = c
         self.pivots += 1
 
     def maximize(self, cost, pivot_limit):
-        """Maximize cost . x over the current basis.
+        """Maximize cost . x (cost a list of ints) over the current basis.
 
         Uses Dantzig's rule while the objective makes progress and falls
         back to Bland's rule (guaranteed termination) after a stall.
         Returns "optimal", "unbounded", or "aborted".
         """
         m = len(self.rows)
-        # reduced costs relative to current basis
+        # reduced costs relative to current basis, up to a positive scale
         red = list(cost)
         for r, c in enumerate(self.basis):
-            if cost[c] != 0:
-                f = cost[c]
+            f = red[c]
+            if f:
                 row = self.rows[r]
-                red = [x - f * y for x, y in zip(red, row)]
+                red = _reduce([x * row[c] - f * y
+                               for x, y in zip(red, row)])
         stall = 0
         while True:
             if self.pivots >= pivot_limit:
@@ -149,27 +161,32 @@ class _Tableau:
                              None)
             if enter is None:
                 return "optimal"
-            ratio, leave = None, None
+            leave = None
             for i in range(m):
                 a = self.rows[i][enter]
                 if a > 0:
-                    t = self.rhs[i] / a
-                    if ratio is None or t < ratio or (
-                            t == ratio and self.basis[i] < self.basis[leave]):
-                        ratio, leave = t, i
+                    b = self.rows[i][-1]   # ratio b/a against lb/la
+                    if leave is None or b * la < lb * a or (
+                            b * la == lb * a
+                            and self.basis[i] < self.basis[leave]):
+                        leave, lb, la = i, b, a
             if leave is None:
                 return "unbounded"
-            stall = stall + 1 if ratio == 0 else 0
+            stall = stall + 1 if lb == 0 else 0
             self.pivot(leave, enter)
-            f = red[enter]
-            red = [x - f * y if y else x
-                   for x, y in zip(red, self.rows[leave])]
+            prow = self.rows[leave]
+            p, f = prow[enter], red[enter]
+            red = _reduce([x * p - f * y if y else x * p
+                           for x, y in zip(red, prow)])
 
 
 def _standard_form(system):
-    """Split free variables, add slacks, and return (rows, rhs, colmap).
+    """Split free variables, add slacks and artificials: int rows.
 
-    colmap maps each original variable to (plus_col, minus_col_or_None).
+    Each constraint is scaled by the lcm of its denominators, negated if
+    its rhs is negative, and ends in its rhs; its basic artificial holds
+    the scale.  Returns (rows, colmap, width): width counts original and
+    slack columns, colmap maps a variable to (plus_col, minus_col_or_None).
     """
     cols = {}
     ncols = 0
@@ -180,24 +197,26 @@ def _standard_form(system):
         else:
             cols[v] = (ncols, ncols + 1)
             ncols += 2
-    nslack = len(system.inequalities)
-    rows, rhs = [], []
-    Z = Fraction(0)
-    for k, (coeffs, b) in enumerate(system.equalities + system.inequalities):
-        row = [Z] * (ncols + nslack)
+    neq = len(system.equalities)
+    constraints = system.equalities + system.inequalities
+    width = ncols + len(system.inequalities)
+    rows = []
+    for k, (coeffs, b) in enumerate(constraints):
+        scale = math.lcm(b.denominator,
+                         *(c.denominator for c in coeffs.values()))
+        sign = -scale if b < 0 else scale
+        row = [0] * (width + len(constraints) + 1)
         for v, c in coeffs.items():
             plus, minus = cols[v]
-            row[plus] += c
+            row[plus] = c.numerator * sign // c.denominator
             if minus is not None:
-                row[minus] -= c
-        if k >= len(system.equalities):
-            row[ncols + (k - len(system.equalities))] = Fraction(-1)
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
+                row[minus] = -row[plus]
+        if k >= neq:
+            row[ncols + k - neq] = -sign
+        row[width + k] = scale
+        row[-1] = b.numerator * sign // b.denominator
         rows.append(row)
-        rhs.append(Fraction(b))
-    return rows, rhs, cols, ncols + nslack
+    return rows, cols, width
 
 
 def solve_feasibility(system, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT,
@@ -212,21 +231,14 @@ def solve_feasibility(system, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT,
     if warm_start is not None and objective is None \
             and system.check(warm_start):
         return FeasibilityResult(FEASIBLE, dict(warm_start))
-    rows, rhs, cols, width = _standard_form(system)
+    rows, cols, width = _standard_form(system)
     m = len(rows)
-    Z = Fraction(0)
     # phase 1: artificial basis
-    tab = _Tableau([row + [Z] * m for row in rows], list(rhs), width + m)
-    for i in range(m):
-        tab.rows[i][width + i] = Fraction(1)
-        tab.basis[i] = width + i
-    cost = [Z] * width + [Fraction(-1)] * m
-    status = tab.maximize(cost, pivot_limit)
+    tab = _Tableau(rows, width + m, list(range(width, width + m)))
+    status = tab.maximize([0] * width + [-1] * m, pivot_limit)
     if status == "aborted":
         return FeasibilityResult(ABORTED, pivots=tab.pivots)
-    infeas = sum((tab.rhs[i] for i in range(m)
-                  if tab.basis[i] >= width), Z)
-    if infeas != 0:
+    if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= width):
         return FeasibilityResult(INFEASIBLE, pivots=tab.pivots)
     # drive leftover artificials out of the basis (or drop redundant rows)
     for i in range(m):
@@ -235,28 +247,27 @@ def solve_feasibility(system, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT,
             if c is not None:
                 tab.pivot(i, c)
     keep = [i for i in range(m) if tab.basis[i] < width]
-    tab.rows = [tab.rows[i][:width] for i in keep]
-    tab.rhs = [tab.rhs[i] for i in keep]
+    tab.rows = [tab.rows[i][:width] + tab.rows[i][-1:] for i in keep]
     tab.basis = [tab.basis[i] for i in keep]
     tab.ncols = width
 
     if objective is not None:
-        cost = [Z] * width
+        cost = [Fraction(0)] * width
         for v, c in objective.items():
             plus, minus = cols[v]
             cost[plus] += Fraction(c)
             if minus is not None:
                 cost[minus] -= Fraction(c)
-        status = tab.maximize(cost, pivot_limit)
-        if status == "aborted":
+        scale = math.lcm(*(c.denominator for c in cost))
+        # "unbounded" is feasible with no optimum: keep the current point
+        if tab.maximize([int(c * scale) for c in cost],
+                        pivot_limit) == "aborted":
             return FeasibilityResult(ABORTED, pivots=tab.pivots)
-        if status == "unbounded":
-            # feasible but no optimum; fall through with the current point
-            pass
 
+    Z = Fraction(0)
     values = [Z] * width
-    for i, b in enumerate(tab.basis):
-        values[b] = tab.rhs[i]
+    for row, b in zip(tab.rows, tab.basis):
+        values[b] = Fraction(row[-1], row[b])
     assignment = {}
     for v, (plus, minus) in cols.items():
         assignment[v] = values[plus] - (values[minus] if minus is not None

@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +184,16 @@ def test_usage_errors(write_json, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_rho_zero_denominator_is_a_usage_error(capsys):
+    assert main(["corpus", "disconnected", "--rho", "1/0,1"]) == 2
+    assert "mass '1/0'" in capsys.readouterr().err
+
+
+def test_rho_must_be_fraction_strings(capsys):
+    assert main(["corpus", "disconnected", "--rho", "0.5,0.5"]) == 2
+    assert "mass '0.5'" in capsys.readouterr().err
+
+
 def one_site(masses, **header):
     return {"dim": 1, "alphabet": 2, "domain": [[0]], "masses": masses,
             **header}
@@ -247,3 +260,30 @@ def test_internal_error_exit_code(write_json, capsys, monkeypatch):
     path = write_json("good.json", biased_pair().to_json_dict())
     assert main(["stationary", path]) == 4
     assert "internal error:" in capsys.readouterr().err
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    # every extlab line of the README's CLI example, in order, in a fresh
+    # directory; `cat > f <<'EOF'` heredocs and `> f` redirects write files
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = next(b for b in re.findall(r"```sh\n(.*?)```",
+                                       readme.read_text(), re.S)
+                 if "\nextlab " in b)
+    monkeypatch.chdir(tmp_path)
+    lines = iter(block.splitlines())
+    ran = []
+    for line in lines:
+        heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
+        if heredoc:
+            Path(heredoc[1]).write_text(
+                "".join(text + "\n" for text in iter(lines.__next__, "EOF")))
+        if not line.startswith("extlab "):
+            continue
+        argv, _, out = line.partition(" > ")
+        code = main(shlex.split(argv)[1:])
+        captured = capsys.readouterr()
+        assert code not in (2, 4), (line, captured.err)
+        if out:
+            Path(out).write_text(captured.out)
+        ran.append(line)
+    assert len(ran) == 12

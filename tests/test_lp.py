@@ -1,10 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from extlab import engine
+from extlab.lattice import Domain
 from extlab.lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                        FEASIBLE, INFEASIBLE, ABORTED)
+from extlab.measures import Measure, random_stationary_measure
 
 from support import fm_feasible, system_to_ineqs
 
@@ -99,6 +103,42 @@ def test_against_fourier_motzkin_oracle():
     assert agree[True] > 5 and agree[False] > 5
 
 
+def test_against_fourier_motzkin_oracle_rational():
+    # rational coefficients and rhs: each row is scaled to integers by the
+    # lcm of its denominators, and negated when its rhs is negative
+    rng = random.Random(78)
+    agree = {True: 0, False: 0}
+    for _ in range(60):
+        nvars = rng.randint(2, 4)
+        s = LinearSystem()
+        for i in range(nvars):
+            s.add_variable(f"x{i}", nonneg=rng.random() < 0.8)
+        # half the systems hold a planted point with zero coordinates:
+        # degenerate, so artificials can stay basic at zero after phase 1
+        # and must be pivoted out on entries of either sign
+        planted = rng.random() < 0.5 and [
+            F(rng.randint(0, 3), rng.randint(1, 6)) if rng.random() < 0.5
+            else F(0) for _ in range(nvars)]
+        for _ in range(rng.randint(1, 4)):
+            coeffs = {f"x{i}": F(rng.randint(-4, 4), rng.randint(1, 6))
+                      for i in range(nvars)}
+            rhs = (sum(c * x for c, x in zip(coeffs.values(), planted))
+                   if planted else F(rng.randint(-3, 5), rng.randint(1, 6)))
+            if rng.random() < 0.5:
+                s.add_eq(coeffs, rhs)
+            else:
+                s.add_ge(coeffs, rhs)
+        # a rational objective runs phase 2 on the same rows
+        objective = {f"x{i}": F(rng.randint(-3, 3), rng.randint(1, 6))
+                     for i in range(nvars)}
+        got = solve_feasibility(s, objective)
+        rows, n = system_to_ineqs(s)
+        want = fm_feasible(rows, n)
+        assert got.status == (FEASIBLE if want else INFEASIBLE)
+        agree[want] += 1
+    assert agree[True] > 5 and agree[False] > 5
+
+
 def test_enumerate_vertices_unit_simplex():
     s = simple_system([[1, 1, 1]], [1], 3)
     vs = enumerate_vertices(s, max_count=10, seed=3)
@@ -133,3 +173,106 @@ def test_check_rejects_violations():
     assert s.check({"x0": F(1, 2), "x1": F(1, 2)})
     assert not s.check({"x0": F(3, 2), "x1": F(-1, 2)})
     assert not s.check({"x0": F(1, 2), "x1": F(1, 4)})
+
+
+# ---------------------------------------------------------------------------
+# the simplex's exact output, pinned
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def _assignment_digest(assignment):
+    return _digest(sorted((v, str(x)) for v, x in assignment.items()))
+
+
+def seeded_rational_system(seed):
+    """Rational rows and rhs of either sign, free variables, == and >=
+    rows, and an objective about half the time."""
+    rng = random.Random(seed)
+
+    def q():
+        return F(rng.randint(-6, 6), rng.randint(1, 6))
+    nvars = rng.randint(3, 6)
+    s = LinearSystem()
+    for i in range(nvars):
+        s.add_variable(f"x{i}", nonneg=rng.random() < 0.7)
+    for _ in range(rng.randint(2, 5)):
+        coeffs = {f"x{i}": q() for i in range(nvars) if rng.random() < 0.8}
+        (s.add_eq if rng.random() < 0.5 else s.add_ge)(coeffs, q())
+    objective = ({f"x{i}": q() for i in range(nvars)}
+                 if rng.random() < 0.5 else None)
+    return s, objective
+
+
+# seed -> (status, pivots, assignment digest); "-" is the empty assignment
+PINNED_SYSTEMS = {
+    0: ("infeasible", 5, "-"), 1: ("feasible", 6, "a694ec4e35a36ab1"),
+    2: ("feasible", 4, "6ccbf2c9c941217b"),
+    3: ("feasible", 2, "e466a5cc59d25897"), 4: ("infeasible", 1, "-"),
+    5: ("feasible", 2, "d2e9fe71ff39ca3d"), 6: ("infeasible", 2, "-"),
+    7: ("feasible", 2, "ca05fa812b3f69ec"), 8: ("infeasible", 0, "-"),
+    9: ("feasible", 4, "18130e34c8482228"), 10: ("infeasible", 1, "-"),
+    11: ("feasible", 6, "c4b0c044268f45b8"), 12: ("infeasible", 9, "-"),
+    13: ("feasible", 3, "538af4a61b70b5c1"),
+    14: ("feasible", 3, "3ab11e30ae37b18c"),
+    15: ("feasible", 2, "2ecd132d54c150a9"),
+    16: ("feasible", 4, "2b1716d1fd2db6a0"),
+    17: ("feasible", 3, "39aeec1156471e8a"), 18: ("infeasible", 5, "-"),
+    19: ("infeasible", 4, "-"), 20: ("feasible", 4, "d4b3e6e27f4b0b23"),
+    21: ("infeasible", 2, "-"), 22: ("infeasible", 3, "-"),
+    23: ("feasible", 3, "f0cfb4dfa1cf9266"),
+}
+
+
+def test_simplex_results_pinned(monkeypatch):
+    # recorded from the Fraction tableau; a change to the entering rule,
+    # the ratio test's tie-break or the phase-1 verdict changes a pivot
+    # count or a digest here
+    for n, pivots, digest in ((3, 7, "a32d4399e65ac4a1"),
+                              (4, 11, "9ba686069ed7446b"),
+                              (5, 19, "fee479d6167f7078"),
+                              (6, 35, "6024d87253b08f95")):
+        mu = random_stationary_measure(2, 2, random.Random(n))
+        res = engine.build_window_polytope(
+            mu, Domain.interval(0, n - 1)).solve()
+        assert (res.status, res.pivots) == (FEASIBLE, pivots), n
+        assert _assignment_digest(res.assignment) == digest, n
+    uniform = Measure.uniform(Domain.box(2, 2), 2)
+    for shape, pivots, digest in (((2, 3), 56, "d11ac49f1670b0e0"),
+                                  ((3, 2), 107, "62e555669c292620")):
+        res = engine.build_window_polytope(uniform,
+                                           Domain.box(2, shape)).solve()
+        assert (res.status, res.pivots) == (FEASIBLE, pivots), shape
+        assert _assignment_digest(res.assignment) == digest, shape
+
+    # the torus LP, read through the engine's own solve call
+    solved = []
+
+    def spy(*args, **kwargs):
+        solved.append(solve_feasibility(*args, **kwargs))
+        return solved[-1]
+    monkeypatch.setattr(engine, "solve_feasibility", spy)
+    product = Measure.product_measure([F(1, 3), F(2, 3)], Domain.box(2, 2))
+    res = engine.periodic_extension(product, (3, 4))
+    assert (res.status, res.lp_digest) == (FEASIBLE, "1155e249c97226b5")
+    assert solved[0].pivots == 19
+    assert _assignment_digest(solved[0].assignment) == "ff1b5eff7824c9ae"
+    assert _digest(sorted((k, str(v)) for k, v in
+                          res.torus_measure.masses.items())) \
+        == "226353ef0e755ae1"
+
+    for seed, (status, pivots, digest) in PINNED_SYSTEMS.items():
+        res = solve_feasibility(*seeded_rational_system(seed))
+        assert (res.status, res.pivots) == (status, pivots), seed
+        assert (_assignment_digest(res.assignment) if res.assignment
+                else "-") == digest, seed
+
+    for seed, count, digest in ((9, 6, "3776fc19aed47b22"),
+                                (16, 5, "117ac9f082258502")):
+        vs = enumerate_vertices(seeded_rational_system(seed)[0],
+                                max_count=8, seed=seed)
+        assert len(vs) == count, seed
+        assert _digest([sorted((v, str(x)) for v, x in a.items())
+                        for a in vs]) == digest, seed
