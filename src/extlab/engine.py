@@ -125,6 +125,26 @@ class SearchBudget(Exception):
     """Backtracking search exceeded its node budget."""
 
 
+def _prefix_trie(words, order, alphabet):
+    """The words read in `order`, as a flat prefix trie.
+
+    A node is an offset into the returned list; `trie[node + a]` is the
+    child reached by symbol a, or 0 when no word continues.  Offset 0 is
+    a dead node and offset `alphabet` is the root.
+    """
+    trie = [0] * (2 * alphabet)
+    for w in words:
+        node = alphabet
+        for p in order:
+            child = trie[node + w[p]]
+            if not child:
+                child = len(trie)
+                trie.extend([0] * alphabet)
+                trie[node + w[p]] = child
+            node = child
+    return trie
+
+
 class _PatternSearch:
     """Backtracking filler for translate-constrained symbol assignments.
 
@@ -132,29 +152,36 @@ class _PatternSearch:
     indices one placement of the word domain reads, in word order; a
     partial assignment must keep every constraint's prefix, taken in cell
     order, inside the projection of the allowed word set.
+
+    Each placement walks a prefix trie of the word set, built once per
+    distinct cell order.  Every (placement, depth) pair owns one slot of
+    `node_at`, the trie node its prefix has reached; slot 0 holds the
+    root.  Cell i carries the steps (prev_slot, slot, trie) of every
+    placement that reads it, in placement then depth order, so assigning
+    a symbol costs one trie lookup per step and a dead node prunes.  A
+    placement reading one cell twice gets two consecutive steps there.
+    A word set holding every word never prunes and adds no steps.
     """
 
     def __init__(self, alphabet, ncells, constraints, words):
         self.alphabet = alphabet
         self.ncells = ncells
-        # triggers[i]: (cells, prefix_set) pairs to check once cell i is
-        # assigned; every index in cells is at most i
-        self.triggers = [[] for _ in range(ncells)]
-        prefix_cache = {}
+        self.steps = [[] for _ in range(ncells)]
+        self.nslots = 1
+        if not constraints or len(words) == alphabet ** len(constraints[0]):
+            return
+        tries = {}
         for placement in constraints:
             # word positions in cell order; ties keep word order
             order = tuple(sorted(range(len(placement)),
                                  key=placement.__getitem__))
-            if order not in prefix_cache:
-                prefix_cache[order] = [
-                    frozenset(tuple(w[p] for p in order[:m]) for w in words)
-                    for m in range(1, len(order) + 1)]
-            prefixes = prefix_cache[order]
-            cells = tuple(placement[p] for p in order)
-            for j, ci in enumerate(cells):
-                # a prefix set containing every possible tuple never prunes
-                if len(prefixes[j]) < alphabet ** (j + 1):
-                    self.triggers[ci].append((cells[:j + 1], prefixes[j]))
+            if order not in tries:
+                tries[order] = _prefix_trie(words, order, alphabet)
+            trie, prev = tries[order], 0
+            for p in order:
+                self.steps[placement[p]].append((prev, self.nslots, trie))
+                prev = self.nslots
+                self.nslots += 1
 
     def run(self, node_cap, collect=None, config_cap=None):
         """Depth-first fill; returns the first solution or None.
@@ -163,9 +190,10 @@ class _PatternSearch:
         lexicographic order, up to config_cap.  Each symbol tried counts
         as one node.  Raises SearchBudget when a cap is exceeded.
         """
-        n, alphabet, triggers = self.ncells, self.alphabet, self.triggers
+        n, alphabet, steps = self.ncells, self.alphabet, self.steps
         values = [-1] * n     # -1: no symbol tried yet at this cell
-        read = values.__getitem__
+        node_at = [0] * self.nslots
+        node_at[0] = alphabet   # the root of every trie
         nodes, i = 0, 0
         while i >= 0:
             if i == n:
@@ -185,9 +213,11 @@ class _PatternSearch:
             if nodes > node_cap:
                 raise SearchBudget("node budget exceeded")
             values[i] = a
-            for cells, prefix in triggers[i]:
-                if tuple(map(read, cells)) not in prefix:
+            for prev, slot, trie in steps[i]:
+                node = trie[node_at[prev] + a]
+                if not node:
                     break
+                node_at[slot] = node
             else:
                 i += 1
         return None
@@ -203,8 +233,14 @@ def _placements(U, cells, shifts, wrap=tuple):
     return [[cells.index(wrap(add(u, t))) for u in U.points] for t in shifts]
 
 
+def _check_cells(ncells, what):
+    if ncells > cell_cap():
+        raise CapExceeded(f"{what} has {ncells} cells")
+
+
 def fill_window(T, W, node_cap=10 ** 7):
     """An admissible configuration of W for the word set T, or None."""
+    _check_cells(len(W), "window")
     placements = _placements(T.domain, W, translates_inside(T.domain, W))
     search = _PatternSearch(T.alphabet, len(W), placements, T.words)
     found = search.run(node_cap)
@@ -261,6 +297,7 @@ def _torus_search(T, periods):
     module = FiniteModule(periods)
     if module.dim != T.domain.dim:
         raise ValueError("period vector dimension mismatch")
+    _check_cells(module.size, "torus")
     cells = _cell_domain(module)
     placements = _placements(T.domain, cells, cells.points, module.quotient)
     return cells, _PatternSearch(T.alphabet, len(cells), placements, T.words)
@@ -357,6 +394,7 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     module = FiniteModule(periods)
     if module.dim != mu.domain.dim:
         raise ValueError("period vector dimension mismatch")
+    _check_cells(module.size, "torus")
     if not module.injective_on(mu.domain):
         raise ValueError("quotient map is not injective on the base domain")
     env = verify_envelope(Envelope(module, mu.domain), max_subset_size=3)

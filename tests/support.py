@@ -6,9 +6,11 @@ separate from the library's own algorithms, so the two can disagree.
 
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 from extlab.lattice import Domain, add
+from extlab.lp import LinearSystem
 from extlab.measures import Measure
 
 
@@ -123,6 +125,65 @@ def brute_force_torus_configs(domain, alphabet, words, periods):
                for shift in cells):
             found.append(grid)
     return found
+
+
+def random_periodic_base(domain, alphabet, periods, rng, count=2):
+    """A random locally stationary measure on domain, periodic by design.
+
+    Puts random masses on `count` random fillings of the torus
+    prod(range(p)), averages them over all translations, and reads the
+    result on the domain modulo the periods; the quotient must separate
+    the domain.  A small count gives a sparse support.
+    """
+    cells = list(itertools.product(*(range(p) for p in periods)))
+    at = {c: i for i, c in enumerate(cells)}
+    fillings = rng.sample(
+        list(itertools.product(range(alphabet), repeat=len(cells))), count)
+    raw = [rng.randrange(1, 4) for _ in fillings]
+    total = sum(raw) * len(cells)
+    masses = defaultdict(Fraction)
+    for x, m in zip(fillings, raw):
+        for g in cells:
+            word = tuple(x[at[tuple((a + b) % p for a, b, p
+                                    in zip(u, g, periods))]]
+                         for u in domain.points)
+            masses[word] += Fraction(m, total)
+    return Measure(domain, alphabet, masses)
+
+
+def unreduced_torus_lp(mu, periods):
+    """The torus extension LP with one variable per torus filling.
+
+    Rows: invariance under each unit shift, p(x) = p(x moved by e_i),
+    and the base marginal read at the domain modulo the periods.  No
+    admissibility search and no orbit reduction, so it checks both.
+    """
+    cells = list(itertools.product(*(range(p) for p in periods)))
+    at = {c: i for i, c in enumerate(cells)}
+
+    def wrap(p):
+        return tuple(x % m for x, m in zip(p, periods))
+
+    fillings = list(itertools.product(range(mu.alphabet),
+                                      repeat=len(cells)))
+    name = {x: f"p{k}" for k, x in enumerate(fillings)}
+    system = LinearSystem()
+    for x in fillings:
+        system.add_variable(name[x], nonneg=True)
+    for axis in range(len(periods)):
+        unit = tuple(int(d == axis) for d in range(len(periods)))
+        source = [at[wrap(add(c, unit))] for c in cells]
+        for x in fillings:
+            moved = tuple(x[i] for i in source)
+            if moved != x:
+                system.add_eq({name[x]: 1, name[moved]: -1}, 0)
+    reads = [at[wrap(u)] for u in mu.domain.points]
+    groups = defaultdict(list)
+    for x in fillings:
+        groups[tuple(x[i] for i in reads)].append(name[x])
+    for u in itertools.product(range(mu.alphabet), repeat=len(mu.domain)):
+        system.add_eq({v: 1 for v in groups[u]}, mu[u])
+    return system
 
 
 def brute_force_stationary(mu):

@@ -252,6 +252,14 @@ def test_budget_exit_code(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_torus_cell_cap_exit_code(write_json, capsys, monkeypatch):
+    # an oversized torus is refused before anything per-cell is built
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "15")
+    path = write_json("good.json", biased_pair().to_json_dict())
+    assert main(["periodic", path, "--period", "16"]) == 3
+    assert "torus has 16 cells" in capsys.readouterr().err
+
+
 def test_internal_error_exit_code(write_json, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("exact re-check failed")

@@ -14,13 +14,14 @@ from extlab.engine import (build_window_polytope, sft_emptiness, fill_window,
                            periodic_extension, pullback_periodic,
                            transported_base, compute_H, epsilon_bound,
                            refute_nonextendible, SearchBudget)
-from extlab.lp import FEASIBLE, INFEASIBLE, ABORTED
+from extlab.lp import FEASIBLE, INFEASIBLE, ABORTED, solve_feasibility
 from extlab import harmonic
 from extlab.corpus import (disconnected_counterexample, pseudolattice_measure,
                            binary_counter_measure, binary_counter_support)
 
 from support import (brute_force_fillable, brute_force_torus_configs,
-                     random_measure)
+                     random_measure, random_periodic_base,
+                     unreduced_torus_lp)
 
 
 def biased_pair():
@@ -195,13 +196,15 @@ def test_enumerate_periodic_configs_matches_brute_force():
             periods = (rng.randint(1, 6),)
         A = 2 if len(U) > 2 or len(periods) == 2 else rng.choice([2, 3])
         allw = list(itertools.product(range(A), repeat=len(U)))
-        words = [w for w in allw if rng.random() < 0.6] or [allw[0]]
-        T = WordSet(U, A, words)
-        cells = FiniteModule(periods).elements()
-        expected = [tuple(grid[c] for c in cells)
-                    for grid in brute_force_torus_configs(U, A, T.words,
-                                                          periods)]
-        assert enumerate_periodic_configs(T, periods) == expected
+        seeded = [w for w in allw if rng.random() < 0.6] or [allw[0]]
+        # the full set never prunes; a single word prunes almost always
+        for words in (seeded, allw, [rng.choice(allw)]):
+            T = WordSet(U, A, words)
+            cells = FiniteModule(periods).elements()
+            expected = [tuple(grid[c] for c in cells)
+                        for grid in brute_force_torus_configs(U, A, T.words,
+                                                              periods)]
+            assert enumerate_periodic_configs(T, periods) == expected
 
 
 def test_enumerate_periodic_configs_dimension_mismatch():
@@ -228,6 +231,35 @@ def test_search_node_budget():
     assert res.window == Domain.box(1, 3)
 
 
+@pytest.mark.parametrize("periods, nodes", [((4, 8), 238766),
+                                             ((5, 8), 117334)])
+def test_search_node_count_is_pinned(periods, nodes):
+    # exact node counts of the full counter(3) torus enumeration; a
+    # faster per-node check must try the very same nodes
+    T = binary_counter_support(3)
+    enumerate_periodic_configs(T, periods, node_cap=nodes)
+    with pytest.raises(SearchBudget, match="node budget"):
+        enumerate_periodic_configs(T, periods, node_cap=nodes - 1)
+
+
+def test_torus_and_window_cells_are_capped(monkeypatch):
+    # the cap is checked before any per-cell list is built, so a huge
+    # period vector fails at once instead of allocating
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "7")
+    mu = Measure.uniform(Domain.interval(0, 1), 2)
+    T = support_word_set(mu)
+    with pytest.raises(CapExceeded, match="torus has 8 cells"):
+        periodic_extension(mu, (8,))
+    with pytest.raises(CapExceeded, match="torus has 8 cells"):
+        enumerate_periodic_configs(T, (8,))
+    with pytest.raises(CapExceeded, match="torus has 8 cells"):
+        periodic_config_search(T, (8,))
+    with pytest.raises(CapExceeded, match="window has 8 cells"):
+        fill_window(T, Domain.interval(0, 7))
+    assert periodic_extension(mu, (7,)).status == FEASIBLE
+    assert fill_window(T, Domain.interval(0, 6)) is not None
+
+
 def test_periodic_extension_config_cap():
     # the uniform pair admits all 16 fillings of the 4-cycle
     mu = Measure.uniform(Domain.interval(0, 1), 2)
@@ -252,6 +284,37 @@ def test_uniform_product_torus():
     big = pullback_periodic(res.torus_measure, res.module,
                             Domain.box(2, (3, 2)))
     assert big.marginal(Domain.box(2, 2).shift((1, 0))).masses == mu.masses
+
+
+def test_periodic_extension_matches_unreduced_lp():
+    # tiny tori, A=2: the search + orbit LP verdict must equal the LP
+    # over every filling with explicit invariance rows
+    rng = random.Random(44)
+    cases = [(disconnected_counterexample(), (4,)),
+             (disconnected_counterexample(), (5,))]
+    for _ in range(4):
+        base = random_stationary_measure(2, rng.choice([2, 3]), rng)
+        cases.append((base, (rng.randint(3, 8),)))
+    for U, base_periods, periods in [
+            (Domain.interval(0, 1), (5,), (7,)),
+            (Domain.interval(0, 2), (4,), (8,)),
+            (Domain.interval(0, 2), (3,), (5,)),
+            (Domain.box(2, (2, 1)), (2, 2), (3, 2)),
+            (Domain.box(2, (2, 1)), (3, 1), (2, 2)),
+            (Domain.box(2, 2), (2, 2), (2, 4)),
+            (Domain.box(2, 2), (3, 2), (2, 3)),
+            (Domain.box(2, 2), (3, 2), (2, 2)),
+            (Domain.box(2, 2), (2, 3), (2, 4)),
+            (Domain(2, [(0, 0), (1, 1)]), (2, 2), (2, 2)),
+            (Domain(2, [(0, 0), (1, 1)]), (3, 2), (4, 2))]:
+        base = random_periodic_base(U, 2, base_periods, rng)
+        cases.append((base, periods))
+    seen = set()
+    for mu, periods in cases:
+        want = solve_feasibility(unreduced_torus_lp(mu, periods)).status
+        assert periodic_extension(mu, periods).status == want, periods
+        seen.add(want)
+    assert seen == {FEASIBLE, INFEASIBLE}
 
 
 def test_disconnected_has_no_periodic_extension():
