@@ -180,6 +180,8 @@ def _counter_rows(value, k):
 
 def binary_counter_words(k):
     """All cyclic rotations of the (value, value+1) two-row blocks."""
+    if k < 0:
+        raise ValueError(f"counter size must be at least 0, got {k}")
     words = set()
     width = k + 1
     for value in range(2 ** k):

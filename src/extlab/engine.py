@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded, cell_cap,
-                      add, sub, translates_inside, verify_envelope)
+                      add, translates_inside, verify_envelope)
 from .measures import (Measure, WordSet, is_locally_stationary,
                        entropy_chain_refute, support_word_set, word_key,
                        _overlaps)
@@ -350,10 +350,23 @@ class PeriodicExtensionResult:
     lp_digest: str = ""
 
 
+def _translate_positions(module, g):
+    """For each cell c in cell order, the position of the cell c - g.
+
+    Cells are in module.elements() order, so a cell's position is its
+    mixed-radix value over the periods.
+    """
+    idx = [0]
+    for p, x in zip(module.periods, g):
+        idx = [i * p + (c - x) % p for i in idx for c in range(p)]
+    return idx
+
+
 def _orbit_partition(configs, module, cells):
     """Group configurations into translation orbits; return orbit lists."""
-    perms = [[cells.index(module.quotient(sub(c, g))) for c in cells]
-             for g in cells]
+    if not configs:
+        return []
+    perms = [_translate_positions(module, g) for g in cells]
     orbits = {}
     pool = set(configs)
     for cfg in configs:

@@ -232,6 +232,21 @@ def verify_envelope(env, max_subset_size=None):
     If max_subset_size is given and smaller than |U|, only subsets V of
     that size or less are tried and a clean run reports "partial".
     Any violation found reports "fail" with a witness.
+
+    The liftability search rests on one lemma.  Fix a residue g~ and
+    let S(g~) be the sites v of U with phi(v) + g~ in phi(U); for each
+    lift g of g~ (see _lift_candidates) let L(g) be the sites v with
+    v + g in U.  Then L(g) is a subset of S(g~), since v + g in U gives
+    phi(v) + g~ = phi(v + g) in phi(U).  A subset V fails at g~ exactly
+    when V lies in S(g~) but in no L(g), so g~ can fail only if S(g~)
+    is not itself one of its L(g).  S and every L are int bitmasks over
+    U.points, computed once per residue; only residues of the form
+    phi(u) - phi(v) have a nonempty S.  When no residue is "risky" the
+    result needs no subset enumeration.  Otherwise subsets are tried in
+    the order size, then itertools.combinations order over U.points,
+    then risky residues in mod.elements() order, and the first failing
+    (V, g~) is the witness: the same one an enumeration of every subset
+    against every residue in that order finds first.
     """
     mod = env.module
     U = env.window
@@ -240,23 +255,39 @@ def verify_envelope(env, max_subset_size=None):
     if not mod.injective_on(U):
         return EnvelopeCheck("fail", "injective", ())
 
-    phi = {p: mod.quotient(p) for p in U.points}
-    image = set(phi.values())
     n = len(U.points)
     cap = n if max_subset_size is None else min(max_subset_size, n)
-
-    uset = U.point_set
     spans = [hi - lo for lo, hi in U.bounding_box()]
+    phi = [mod.quotient(p) for p in U.points]
+    image = set(phi)
+    uset = U.point_set
+
+    def mask(hits):
+        return sum(1 << i for i, hit in enumerate(hits) if hit)
+
+    residues = sorted({tuple((a - b) % m for a, b, m
+                             in zip(pu, pv, mod.periods))
+                       for pu in phi for pv in phi})
+    risky = []          # (g_tilde, S, [L(g) for each lift g])
+    for g_tilde in residues:
+        S = mask(mod.add(pv, g_tilde) in image for pv in phi)
+        lifted = [mask(add(v, g) in uset for v in U.points)
+                  for g in _lift_candidates(g_tilde, mod.periods, spans)]
+        if S not in lifted:
+            risky.append((g_tilde, S, lifted))
+
+    # a failing V lies inside some risky S
+    reach = 0
+    for _, S, _ in risky:
+        reach |= S
+    sites = [i for i in range(n) if reach >> i & 1]
     for size in range(1, cap + 1):
-        for V in itertools.combinations(U.points, size):
-            phiV = [phi[v] for v in V]
-            for g_tilde in mod.elements():
-                if not all(mod.add(gv, g_tilde) in image for gv in phiV):
-                    continue
-                for g in _lift_candidates(g_tilde, mod.periods, spans):
-                    if all(add(v, g) in uset for v in V):
-                        break
-                else:
-                    return EnvelopeCheck("fail", "liftable", (V, g_tilde))
+        for V in itertools.combinations(sites, size):
+            bits = sum(1 << i for i in V)
+            for g_tilde, S, lifted in risky:
+                if not bits & ~S and all(bits & ~L for L in lifted):
+                    return EnvelopeCheck(
+                        "fail", "liftable",
+                        (tuple(U.points[i] for i in V), g_tilde))
     status = "pass" if cap == n else "partial"
     return EnvelopeCheck(status, "", ())

@@ -9,7 +9,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 
-from extlab.lattice import Domain, add
+from extlab.lattice import Domain, EnvelopeCheck, add
 from extlab.lp import LinearSystem
 from extlab.measures import Measure
 
@@ -184,6 +184,40 @@ def unreduced_torus_lp(mu, periods):
     for u in itertools.product(range(mu.alphabet), repeat=len(mu.domain)):
         system.add_eq({v: 1 for v in groups[u]}, mu[u])
     return system
+
+
+def reference_verify_envelope(env, max_subset_size=None):
+    """verify_envelope by enumerating every subset V against every residue.
+
+    Tries V by size, then itertools.combinations order over U.points,
+    then each residue g~ in module.elements() order; (V, g~) fails when
+    phi(V) + g~ lies in phi(U) and no lattice vector g == g~ mod P with
+    |g_i| at most U's coordinate span puts V + g inside U.
+    """
+    mod, U = env.module, env.window
+    if mod.dim != U.dim:
+        raise ValueError("module and window dimensions differ")
+    if not mod.injective_on(U):
+        return EnvelopeCheck("fail", "injective", ())
+    n = len(U.points)
+    cap = n if max_subset_size is None else min(max_subset_size, n)
+    spans = [hi - lo for lo, hi in U.bounding_box()]
+    image = {mod.quotient(p) for p in U.points}
+    lifts = {}
+    for g_tilde in mod.elements():
+        axes = [[x for x in range(-s, s + 1) if (x - gt) % p == 0]
+                for gt, p, s in zip(g_tilde, mod.periods, spans)]
+        lifts[g_tilde] = list(itertools.product(*axes))
+    for size in range(1, cap + 1):
+        for V in itertools.combinations(U.points, size):
+            for g_tilde in mod.elements():
+                if not all(mod.add(mod.quotient(v), g_tilde) in image
+                           for v in V):
+                    continue
+                if not any(all(add(v, g) in U for v in V)
+                           for g in lifts[g_tilde]):
+                    return EnvelopeCheck("fail", "liftable", (V, g_tilde))
+    return EnvelopeCheck("pass" if cap == n else "partial", "", ())
 
 
 def brute_force_stationary(mu):

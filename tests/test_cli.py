@@ -184,6 +184,12 @@ def test_usage_errors(write_json, capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_negative_counter_size_is_a_usage_error(capsys):
+    for name in ("counter", "counter-support"):
+        assert main(["corpus", name, "--k", "-1"]) == 2
+        assert "counter size must be at least 0" in capsys.readouterr().err
+
+
 def test_rho_zero_denominator_is_a_usage_error(capsys):
     assert main(["corpus", "disconnected", "--rho", "1/0,1"]) == 2
     assert "mass '1/0'" in capsys.readouterr().err

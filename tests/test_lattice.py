@@ -6,6 +6,8 @@ import pytest
 from extlab.lattice import (Domain, FiniteModule, Envelope, envelope_for,
                             verify_envelope, translates_inside, cell_cap)
 
+from support import reference_verify_envelope
+
 
 def test_domain_canonical_order():
     d = Domain(2, [(1, 0), (0, 1), (0, 0), (1, 0)])
@@ -92,6 +94,40 @@ def test_envelope_partial_verification_is_flagged():
     U = Domain(1, [(0,), (1,), (2,)])
     chk = verify_envelope(envelope_for(U), max_subset_size=2)
     assert chk.status == "partial"
+
+
+def test_verify_envelope_matches_subset_enumeration():
+    # full EnvelopeCheck equality, witness included, against the oracle
+    # that tries every subset against every residue
+    rng = random.Random(11)
+    seen = set()
+    for case in range(240):
+        D = 1 + case % 2
+        U = Domain(D, [tuple(rng.randint(-3, 2) for _ in range(D))
+                       for _ in range(rng.randint(1, 6 if D == 2 else 5))])
+        sides = [hi - lo + 1 for lo, hi in U.bounding_box()]
+        kind = case // 2 % 3
+        if kind == 0:
+            env = envelope_for(U)
+        elif kind == 1:
+            env = Envelope(FiniteModule(sides), U)
+        else:
+            env = Envelope(FiniteModule([rng.randint(1, 5) for _ in sides]),
+                           U)
+        for cap in (None, 1, 2, 3):
+            got = verify_envelope(env, max_subset_size=cap)
+            assert got == reference_verify_envelope(env, cap), (env, cap)
+            seen.add((kind, got.status, got.condition))
+    # every kind of period vector reaches the outcomes it can reach
+    assert {(0, "pass", ""), (0, "partial", ""),
+            (1, "pass", ""), (1, "fail", "liftable"),
+            (2, "fail", "injective"), (2, "fail", "liftable")} <= seen
+    assert not any(kind == 0 and status == "fail"
+                   for kind, status, _ in seen)
+
+
+def test_doubled_envelope_of_4x4_box_passes_exhaustively():
+    assert verify_envelope(envelope_for(Domain.box(2, 4))).status == "pass"
 
 
 def test_cell_cap_env_override(monkeypatch):
