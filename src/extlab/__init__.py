@@ -13,7 +13,7 @@ from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
 from .engine import (build_window_polytope, ExtensionPolytope,
                      sft_emptiness, fill_window, periodic_config_search,
                      enumerate_periodic_configs, periodic_extension,
-                     pullback_periodic, transported_base, compute_H,
-                     epsilon_bound, refute_nonextendible, SearchBudget)
+                     pullback_periodic, compute_H, epsilon_bound,
+                     refute_nonextendible, SearchBudget)
 
 __version__ = "0.1.0"

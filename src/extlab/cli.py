@@ -76,14 +76,15 @@ def cmd_periodic(args):
     payload = {"status": res.status,
                "periods": list(periods),
                "envelope_warning": res.envelope_warning,
+               "reason": res.reason,
                "config_count": res.config_count}
     if res.status == FEASIBLE:
-        payload["torus_measure"] = res.torus_measure.to_json_dict()
-        payload["epsilon"] = None
-        if len(res.torus_measure.masses) == mu.alphabet ** res.module.size:
-            payload["epsilon"] = str(
-                epsilon_bound(res.torus_measure, res.module,
-                              mu.domain, mu.alphabet))
+        payload["orbits"] = [{"configuration": word_key(c), "size": n,
+                              "mass": str(m)} for c, n, m in res.orbits]
+        try:
+            payload["epsilon"] = str(epsilon_bound(res, mu.domain))
+        except ValueError:  # the solution lacks full support
+            payload["epsilon"] = None
     _emit(payload, args.out)
     if res.status == FEASIBLE:
         return OK

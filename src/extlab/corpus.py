@@ -182,6 +182,9 @@ def binary_counter_words(k):
     """All cyclic rotations of the (value, value+1) two-row blocks."""
     if k < 0:
         raise ValueError(f"counter size must be at least 0, got {k}")
+    cap = cell_cap()
+    if k >= cap.bit_length() or 2 ** k * (k + 1) > cap:  # skips 2^k for big k
+        raise CapExceeded(f"counter({k}) has 2^{k} * {k + 1} words")
     words = set()
     width = k + 1
     for value in range(2 ** k):

@@ -7,13 +7,14 @@ Four families of tools:
 * subshift-of-finite-type searches: admissible window configurations
   and periodic (torus) configurations for a finite word set;
 * periodic extensions: exact LPs over shift-invariant measures on a
-  finite quotient torus, with pullbacks and quantitative bounds;
+  finite quotient torus, solved as one weight per translation orbit;
+  pullbacks and quantitative bounds read those orbit weights;
 * a refutation pipeline combining entropy chains, SFT emptiness, and
   growing-window LP infeasibility.
 """
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -342,12 +343,29 @@ def enumerate_periodic_configs(T, periods, node_cap=10 ** 7,
 
 @dataclass
 class PeriodicExtensionResult:
+    """A torus verdict.  A feasible solution is `orbits`: (least configuration,
+    orbit size, mass of each member) for each orbit of nonzero weight, with
+    configurations as tuples over the cells in module.elements() order."""
+
     status: str                 # feasible / infeasible / aborted
     module: FiniteModule
-    torus_measure: Measure = None
+    alphabet: int
+    orbits: list = field(default_factory=list)
     envelope_warning: str = ""
+    reason: str = ""            # why an aborted run stopped
     config_count: int = 0
     lp_digest: str = ""
+
+    @property
+    def torus_measure(self):
+        """The dense measure on every orbit member, None unless feasible."""
+        if self.status != FEASIBLE:
+            return None
+        cells = _cell_domain(self.module)
+        perms = [_translate_positions(self.module, g) for g in cells]
+        masses = {tuple(cfg[p] for p in perm): mass
+                  for cfg, _, mass in self.orbits for perm in perms}
+        return Measure(cells, self.alphabet, masses)
 
 
 def _translate_positions(module, g):
@@ -363,33 +381,18 @@ def _translate_positions(module, g):
 
 
 def _orbit_partition(configs, module, cells):
-    """Group configurations into translation orbits; return orbit lists."""
+    """Group configurations into translation orbits, each a sorted list."""
     if not configs:
         return []
     perms = [_translate_positions(module, g) for g in cells]
-    orbits = {}
+    orbits = []
     pool = set(configs)
     for cfg in configs:
-        if cfg not in pool:
-            continue
-        orbit = set(tuple(cfg[p] for p in perm) for perm in perms)
-        canon = min(orbit)
-        orbits[canon] = sorted(orbit)
-        pool -= orbit
-    return list(orbits.values())
-
-
-def transported_base(mu, module):
-    """The base measure re-indexed by torus cells phi(U), cell order."""
-    U = mu.domain
-    images = [module.quotient(p) for p in U.points]
-    target = Domain(module.dim, images)
-    if len(target) != len(images):
-        raise ValueError("quotient map is not injective on the base domain")
-    # base sites in target order
-    perm = sorted(range(len(images)), key=images.__getitem__)
-    masses = {tuple(w[i] for i in perm): m for w, m in mu.masses.items()}
-    return Measure(target, mu.alphabet, masses)
+        if cfg in pool:
+            orbit = set(tuple(cfg[p] for p in perm) for perm in perms)
+            orbits.append(sorted(orbit))
+            pool -= orbit
+    return orbits
 
 
 def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
@@ -420,8 +423,8 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     try:
         configs = enumerate_periodic_configs(T, periods, node_cap, config_cap)
     except SearchBudget as exc:
-        return PeriodicExtensionResult(ABORTED, module,
-                                       envelope_warning=str(exc))
+        return PeriodicExtensionResult(ABORTED, module, mu.alphabet, [],
+                                       warning, reason=str(exc))
     cells = _cell_domain(module)
     orbits = _orbit_partition(configs, module, cells)
     base_idx = [cells.index(module.quotient(u)) for u in mu.domain.points]
@@ -430,49 +433,47 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     counts = []
     for o, orbit in enumerate(orbits):
         system.add_variable(f"y{o}", nonneg=True)
-        cnt = defaultdict(int)
-        for cfg in orbit:
-            cnt[tuple(cfg[i] for i in base_idx)] += 1
-        counts.append(cnt)
+        counts.append(Counter(tuple(cfg[i] for i in base_idx)
+                              for cfg in orbit))
     system.add_eq({f"y{o}": len(orbit) for o, orbit in enumerate(orbits)}, 1)
     for u in sorted(mu.support()):
         system.add_eq({f"y{o}": counts[o][u] for o in range(len(orbits))
                        if counts[o][u]}, mu[u])
 
-    total = sum(len(orbit) for orbit in orbits)
-    warm = ({f"y{o}": Fraction(1, total) for o in range(len(orbits))}
-            if total else None)
+    warm = ({f"y{o}": Fraction(1, len(configs)) for o in range(len(orbits))}
+            if configs else None)
     sol = solve_feasibility(system, pivot_limit=pivot_limit, warm_start=warm)
-    result = PeriodicExtensionResult(sol.status, module,
-                                     envelope_warning=warning,
-                                     config_count=len(configs),
-                                     lp_digest=system.digest())
+    result = PeriodicExtensionResult(
+        sol.status, module, mu.alphabet, envelope_warning=warning,
+        reason="pivot limit exceeded" if sol.status == ABORTED else "",
+        config_count=len(configs), lp_digest=system.digest())
     if sol.status != FEASIBLE:
         return result
 
-    masses = {}
     for o, orbit in enumerate(orbits):
         y = sol.assignment[f"y{o}"]
         if y != 0:
-            for cfg in orbit:
-                masses[cfg] = y
-    nu = Measure(cells, mu.alphabet, masses)
+            result.orbits.append((orbit[0], len(orbit), y))
     # exact re-check of the defining marginal property
-    base = transported_base(mu, module)
-    if nu.marginal(base.domain).masses != base.masses:
+    if pullback_periodic(result, mu.domain).masses != mu.masses:
         raise AssertionError("torus solution fails exact marginal re-check")
-    result.torus_measure = nu
     return result
 
 
-def pullback_periodic(nu, module, W):
-    """Read the periodic measure nu on a window W of the full lattice."""
+def pullback_periodic(result, W):
+    """A feasible torus solution read on a window W of the lattice: the
+    translates of an orbit's least configuration by every cell list each
+    member |cells| / size times, so each carries mass * size / |cells|."""
+    module = result.module
     cells = _cell_domain(module)
-    idx = [cells.index(module.quotient(p)) for p in W.points]
+    reads = [[cells.index(module.quotient(add(p, g))) for p in W.points]
+             for g in cells]
     out = defaultdict(Fraction)
-    for cfg, mass in nu.masses.items():
-        out[tuple(cfg[i] for i in idx)] += mass
-    return Measure(W, nu.alphabet, out)
+    for cfg, size, mass in result.orbits:
+        share = mass * size / len(cells)
+        for idx in reads:
+            out[tuple(cfg[i] for i in idx)] += share
+    return Measure(W, result.alphabet, out)
 
 
 def compute_H(module, U, alphabet):
@@ -491,11 +492,12 @@ def compute_H(module, U, alphabet):
     return len(seen)
 
 
-def epsilon_bound(nu, module, U, alphabet):
+def epsilon_bound(result, U):
     """The stability radius min-mass / H for a fully supported torus measure."""
-    if len(nu.masses) != alphabet ** module.size:
+    A, module = result.alphabet, result.module
+    if sum(size for _, size, _ in result.orbits) != A ** module.size:
         raise ValueError("torus measure must have full support")
-    return min(nu.masses.values()) / compute_H(module, U, alphabet)
+    return min(m for _, _, m in result.orbits) / compute_H(module, U, A)
 
 
 # ---------------------------------------------------------------------------

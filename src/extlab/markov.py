@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Domain
+from .lattice import Domain, CapExceeded, cell_cap
 from .measures import Measure, is_locally_stationary, finite_window_entropy
 
 
@@ -67,6 +67,7 @@ class MarkovExtension:
 
         Builds the support by extending prefixes one site at a time, so
         the cost is proportional to the support size, not alphabet**n.
+        Raises CapExceeded as soon as that support passes cell_cap().
         """
         if n < 1:
             raise ValueError("window length must be positive")
@@ -74,6 +75,7 @@ class MarkovExtension:
         if n <= m + 1:
             return self._prefix_marginal(n)
         pref = self._prefix_marginal(m) if m > 0 else None
+        cap = cell_cap()
         current = dict(self.base.masses)
         for _ in range(n - m - 1):
             nxt = defaultdict(Fraction)
@@ -86,6 +88,8 @@ class MarkovExtension:
                     num = self.base[tail + (a,)]
                     if num != 0:
                         nxt[w + (a,)] += mass * Fraction(num, den)
+                if len(nxt) > cap:
+                    raise CapExceeded(f"window {n} passes {cap} words")
             current = nxt
         return Measure(Domain.interval(0, n - 1), self.base.alphabet, current)
 

@@ -186,6 +186,22 @@ def unreduced_torus_lp(mu, periods):
     return system
 
 
+def dense_pullback(nu, periods, W):
+    """The torus measure nu read on a window W of Z^D, one configuration
+    at a time.
+
+    nu lives on the cells prod(range(p)) in lexicographic order; a point
+    of W reads the cell it reduces to modulo the periods.
+    """
+    at = {c: i for i, c in enumerate(nu.domain.points)}
+    reads = [at[tuple(x % p for x, p in zip(pt, periods))]
+             for pt in W.points]
+    out = defaultdict(Fraction)
+    for cfg, mass in nu.masses.items():
+        out[tuple(cfg[i] for i in reads)] += mass
+    return Measure(W, nu.alphabet, out)
+
+
 def reference_verify_envelope(env, max_subset_size=None):
     """verify_envelope by enumerating every subset V against every residue.
 

@@ -110,8 +110,7 @@ def test_criterion_05_periodic_extension_lp():
     uni = Measure.uniform(Domain.box(2, 2), 2)
     r1 = periodic_extension(uni, (4, 4))
     ok = (r1.status == FEASIBLE
-          and pullback_periodic(r1.torus_measure, r1.module,
-                                uni.domain).masses == uni.masses)
+          and pullback_periodic(r1, uni.domain).masses == uni.masses)
     # counter(3): a feasible verdict must come with a torus measure whose
     # pullback is mu exactly.  An infeasible one must come with an empty
     # admissible set, since any invariant torus measure with base
@@ -122,8 +121,7 @@ def test_criterion_05_periodic_extension_lp():
     r44 = periodic_extension(ctr, (4, 4))
     for r in (r48, r44):
         ok = ok and (r.status == FEASIBLE
-                     and pullback_periodic(r.torus_measure, r.module,
-                                           dom).masses == ctr.masses)
+                     and pullback_periodic(r, dom).masses == ctr.masses)
     # (4,4) is feasible through phase slips: rows such as 0110 that read
     # as two counter values let the rows skip ahead without counting
     slips = brute_force_torus_configs(dom, 2, words, (4, 4))
@@ -151,7 +149,7 @@ def test_criterion_06_epsilon_ball():
     mod = FiniteModule((4,))
     H = compute_H(mod, mu.domain, 2)
     res = periodic_extension(mu, (4,))
-    eps = epsilon_bound(res.torus_measure, mod, mu.domain, 2)
+    eps = epsilon_bound(res, mu.domain)
     ok = H == 9 and eps == F(1, 144)
 
     rng = random.Random(106)

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from extlab import cli
+from extlab import cli, corpus, engine
 from extlab.cli import main
-from extlab.lattice import Domain
-from extlab.measures import Measure, WordSet
+from extlab.lattice import Domain, FiniteModule
+from extlab.measures import Measure, WordSet, parse_word_key
 from extlab.corpus import (disconnected_counterexample, binary_counter_measure,
                            eca_rule, ca_to_sft)
 
@@ -68,8 +68,12 @@ def test_periodic_exit_codes(write_json, capsys):
     data = json.loads(out)
     assert data["status"] == "feasible"
     assert data["epsilon"] == "1/144"
-    nu = Measure.from_json_dict(data["torus_measure"])
-    assert nu.total_mass() == 1
+    orbits = [(parse_word_key(o["configuration"]), o["size"], F(o["mass"]))
+              for o in data["orbits"]]
+    assert sum(size * mass for _, size, mass in orbits) == 1
+    res = engine.PeriodicExtensionResult("feasible", FiniteModule((4,)), 2,
+                                         orbits)
+    assert engine.pullback_periodic(res, uni.domain).masses == uni.masses
 
     disc = write_json("disc.json", disconnected_counterexample().to_json_dict())
     code, out = run(capsys, ["periodic", disc, "--period", "8"])
@@ -256,6 +260,42 @@ def test_budget_exit_code(capsys, monkeypatch):
     code = main(["corpus", "eca", "--k", "110"])
     assert code == 3
     capsys.readouterr()
+
+
+def test_counter_size_cap_exit_code(capsys, monkeypatch):
+    # 2^30 * 31 words are refused before the first one is built
+    def built(*args):
+        raise AssertionError("counter words were built")
+
+    monkeypatch.setattr(corpus, "_counter_rows", built)
+    for name in ("counter", "counter-support"):
+        assert main(["corpus", name, "--k", "30"]) == 3
+        assert "counter(30) has 2^30 * 31 words" in capsys.readouterr().err
+
+
+def test_markov_window_cap_exit_code(write_json, capsys, monkeypatch):
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "64")
+    path = write_json("uni.json",
+                      Measure.uniform(Domain.interval(0, 1), 2).to_json_dict())
+    assert main(["markov", path, "--window", "6"]) == 0
+    capsys.readouterr()
+    assert main(["markov", path, "--window", "40"]) == 3
+    assert "window 40 passes 64 words" in capsys.readouterr().err
+
+
+def test_periodic_aborted_reason(write_json, capsys, monkeypatch):
+    # the uniform pair has 16 admissible 4-cycle fillings, one past 15
+    def capped(mu, periods):
+        return engine.periodic_extension(mu, periods, config_cap=15)
+
+    monkeypatch.setattr(cli, "periodic_extension", capped)
+    path = write_json("uni.json",
+                      Measure.uniform(Domain.interval(0, 1), 2).to_json_dict())
+    code, out = run(capsys, ["periodic", path, "--period", "4"])
+    assert code == 3
+    data = json.loads(out)
+    assert data["status"] == "aborted"
+    assert data["reason"] == "too many admissible configurations"
 
 
 def test_torus_cell_cap_exit_code(write_json, capsys, monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from extlab.lattice import Domain
+from extlab.lattice import Domain, CapExceeded
 from extlab.measures import is_locally_stationary, support_word_set
 from extlab.engine import sft_emptiness, fill_window, periodic_config_search
 from extlab import corpus
@@ -95,6 +95,17 @@ def test_counter_k1_explicit():
     # with a single 1 are exactly the four one-hot words
     words = corpus.binary_counter_words(1)
     assert words == {(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)}
+
+
+def test_counter_words_are_capped(monkeypatch):
+    # counter(k) has 2^k (k+1) words: 32 at k=3, 80 at k=4
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "32")
+    assert len(corpus.binary_counter_words(3)) == 32
+    with pytest.raises(CapExceeded, match="counter.4. has 2.4 . 5 words"):
+        corpus.binary_counter_words(4)
+    # refused from k alone, without forming 2^k
+    with pytest.raises(CapExceeded):
+        corpus.binary_counter_words(10 ** 12)
 
 
 def test_counter_measure_uniform_and_stationary():

@@ -12,15 +12,15 @@ from extlab.markov import MarkovExtension
 from extlab.engine import (build_window_polytope, sft_emptiness, fill_window,
                            periodic_config_search, enumerate_periodic_configs,
                            periodic_extension, pullback_periodic,
-                           transported_base, compute_H, epsilon_bound,
-                           refute_nonextendible, SearchBudget)
+                           compute_H, epsilon_bound, refute_nonextendible,
+                           SearchBudget)
 from extlab.lp import FEASIBLE, INFEASIBLE, ABORTED, solve_feasibility
 from extlab import harmonic
 from extlab.corpus import (disconnected_counterexample, pseudolattice_measure,
                            binary_counter_measure, binary_counter_support)
 
 from support import (brute_force_fillable, brute_force_torus_configs,
-                     random_measure, random_periodic_base,
+                     dense_pullback, random_measure, random_periodic_base,
                      unreduced_torus_lp)
 
 
@@ -266,7 +266,7 @@ def test_periodic_extension_config_cap():
     assert periodic_extension(mu, (4,), config_cap=16).status == FEASIBLE
     res = periodic_extension(mu, (4,), config_cap=15)
     assert res.status == ABORTED
-    assert "too many admissible configurations" in res.envelope_warning
+    assert "too many admissible configurations" in res.reason
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +278,10 @@ def test_uniform_product_torus():
     res = periodic_extension(mu, (4, 4))
     assert res.status == FEASIBLE
     assert res.config_count == 2 ** 16
-    pb = pullback_periodic(res.torus_measure, res.module, Domain.box(2, 2))
+    pb = pullback_periodic(res, Domain.box(2, 2))
     assert pb.masses == mu.masses
     # larger pullback windows stay consistent on every translate
-    big = pullback_periodic(res.torus_measure, res.module,
-                            Domain.box(2, (3, 2)))
+    big = pullback_periodic(res, Domain.box(2, (3, 2)))
     assert big.marginal(Domain.box(2, 2).shift((1, 0))).masses == mu.masses
 
 
@@ -312,9 +311,27 @@ def test_periodic_extension_matches_unreduced_lp():
     seen = set()
     for mu, periods in cases:
         want = solve_feasibility(unreduced_torus_lp(mu, periods)).status
-        assert periodic_extension(mu, periods).status == want, periods
+        res = periodic_extension(mu, periods)
+        assert res.status == want, periods
+        if res.status == FEASIBLE:
+            assert_orbit_pullback_is_dense(res)
         seen.add(want)
     assert seen == {FEASIBLE, INFEASIBLE}
+
+
+def assert_orbit_pullback_is_dense(res):
+    """pullback_periodic, which reads each orbit through its least
+    configuration, equals a dense pullback of the expanded measure on
+    windows past the torus, at negative coordinates and scattered."""
+    periods = res.module.periods
+    D = len(periods)
+    nu = res.torus_measure
+    windows = [Domain.box(D, tuple(p + 2 for p in periods), origin=(-1,) * D),
+               Domain(D, [(-7,) * D, (0,) * D,
+                          tuple(2 * p + 1 for p in periods)])]
+    for W in windows:
+        assert pullback_periodic(res, W).masses \
+            == dense_pullback(nu, periods, W).masses, (periods, W)
 
 
 def test_disconnected_has_no_periodic_extension():
@@ -340,13 +357,14 @@ def test_counter_3_torus_cases():
     assert len(aligned) == 32
     orbit = Measure(res.torus_measure.domain, 2,
                     {c: F(1, 32) for c in aligned})
-    assert orbit.marginal(transported_base(mu, res.module).domain).masses \
-        == transported_base(mu, res.module).masses
+    assert dense_pullback(orbit, (4, 8), mu.domain).masses == mu.masses
+    assert_orbit_pullback_is_dense(res)
     # the word-set subshift also has phase-slip configurations, which
     # make the smaller torus (4,4) exactly feasible as well
     res44 = periodic_extension(mu, (4, 4))
     assert res44.status == FEASIBLE
     assert res44.config_count == 36
+    assert_orbit_pullback_is_dense(res44)
 
 
 def is_counting_config(cfg, periods):
@@ -372,15 +390,8 @@ def test_counter_1_torus_orbit():
     # [DERIVED] brute force over all 16 torus configs: exactly the four
     # translates of the single-one pattern are admissible
     assert res.config_count == 4
-    pb = pullback_periodic(res.torus_measure, res.module, mu.domain)
+    pb = pullback_periodic(res, mu.domain)
     assert pb.masses == mu.masses
-
-
-def test_transported_base_wraps():
-    mu = binary_counter_measure(3)
-    tb = transported_base(mu, FiniteModule((4, 8)))
-    assert tb.domain.points[0] == (0, 0)   # x = 4 wrapped to 0
-    assert tb.total_mass() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +421,7 @@ def test_compute_H_bounds_random():
 def test_epsilon_bound_value():
     mu = Measure.uniform(Domain.interval(0, 1), 2)
     res = periodic_extension(mu, (4,))
-    eps = epsilon_bound(res.torus_measure, res.module, mu.domain, 2)
+    eps = epsilon_bound(res, mu.domain)
     assert eps == F(1, 144)
 
 
@@ -431,7 +442,7 @@ def test_epsilon_bound_needs_full_support():
     mu = binary_counter_measure(1)
     res = periodic_extension(mu, (2, 2))
     with pytest.raises(ValueError):
-        epsilon_bound(res.torus_measure, res.module, mu.domain, 2)
+        epsilon_bound(res, mu.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from extlab.lattice import Domain
+from extlab.lattice import Domain, CapExceeded
 from extlab.measures import (Measure, is_locally_stationary,
                              finite_window_entropy, random_stationary_measure)
 from extlab.markov import MarkovExtension, entropy_rate
@@ -112,3 +112,15 @@ def test_off_origin_base_is_normalized():
     base = biased_pair().shift((7,))
     ext = MarkovExtension(base)
     assert ext.cylinder((0, 0, 0)) == F(9, 32)
+
+
+def test_window_support_is_capped(monkeypatch):
+    # the uniform pair's window n has 2^n words: 64 fit a cap of 64,
+    # 128 do not
+    uniform = Measure.uniform(Domain.interval(0, 1), 2)
+    want = MarkovExtension(uniform).window_measure(6)
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "64")
+    ext = MarkovExtension(uniform)
+    assert ext.window_measure(6).masses == want.masses
+    with pytest.raises(CapExceeded, match="window 7 passes 64"):
+        ext.window_measure(7)
