@@ -62,7 +62,7 @@ def cmd_markov(args):
     mu = _load_measure(args.measure)
     ext = MarkovExtension(mu)
     window = ext.window_measure(args.window)
-    rate = entropy_rate(ext, args.window)
+    rate = entropy_rate(ext, args.window, window)
     _emit({"measure": window.to_json_dict(),
            "entropy_per_site": rate.per_site,
            "entropy_rate": rate.markov_rate}, args.out)

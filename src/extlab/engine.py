@@ -14,9 +14,11 @@ Four families of tools:
 """
 
 import itertools
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded, cell_cap,
                       add, translates_inside, verify_envelope)
@@ -361,37 +363,61 @@ class PeriodicExtensionResult:
         """The dense measure on every orbit member, None unless feasible."""
         if self.status != FEASIBLE:
             return None
-        cells = _cell_domain(self.module)
-        perms = [_translate_positions(self.module, g) for g in cells]
-        masses = {tuple(cfg[p] for p in perm): mass
-                  for cfg, _, mass in self.orbits for perm in perms}
-        return Measure(cells, self.alphabet, masses)
+        steps = _unit_steps(self.module.periods)
+        masses = {t: mass for cfg, _, mass in self.orbits
+                  for t in _translates(cfg, steps)}
+        return Measure(_cell_domain(self.module), self.alphabet, masses)
 
 
-def _translate_positions(module, g):
-    """For each cell c in cell order, the position of the cell c - g.
+def _unit_steps(periods):
+    """One getter per axis of period > 1 that translates a configuration
+    by one step along that axis.
 
-    Cells are in module.elements() order, so a cell's position is its
-    mixed-radix value over the periods.
+    A configuration lists the cells in mixed-radix order over the
+    periods, so a unit step along an axis of stride s rolls each block
+    of p * s entries right by s places: position i reads i - s, or
+    i + (p - 1) s on the block's first row.  Each getter holds |cells|
+    positions; no |cells| x |cells| table is built.
     """
-    idx = [0]
-    for p, x in zip(module.periods, g):
-        idx = [i * p + (c - x) % p for i in idx for c in range(p)]
-    return idx
+    n = math.prod(periods)
+    steps = []
+    stride = n
+    for p in periods:
+        stride //= p
+        if p > 1:
+            steps.append(itemgetter(*(i - stride if i // stride % p
+                                      else i + (p - 1) * stride
+                                      for i in range(n))))
+    return steps
 
 
-def _orbit_partition(configs, module, cells):
+def _translates(cfg, steps):
+    """The distinct translates of a configuration, in order of the first
+    cell g (in module.elements() order) that gives each: axis by axis,
+    each translate so far is stepped until it comes back."""
+    out = [cfg]
+    for step in steps:
+        seen = {}
+        for t in out:
+            while t not in seen:
+                seen[t] = None
+                t = step(t)
+        out = list(seen)
+    return out
+
+
+def _orbit_partition(configs, module):
     """Group configurations into translation orbits, each a sorted list."""
     if not configs:
         return []
-    perms = [_translate_positions(module, g) for g in cells]
+    steps = _unit_steps(module.periods)
     orbits = []
     pool = set(configs)
     for cfg in configs:
         if cfg in pool:
-            orbit = set(tuple(cfg[p] for p in perm) for perm in perms)
+            orbit = _translates(cfg, steps)
             orbits.append(sorted(orbit))
-            pool -= orbit
+            pool.difference_update(orbit)
     return orbits
 
 
@@ -426,7 +452,7 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
         return PeriodicExtensionResult(ABORTED, module, mu.alphabet, [],
                                        warning, reason=str(exc))
     cells = _cell_domain(module)
-    orbits = _orbit_partition(configs, module, cells)
+    orbits = _orbit_partition(configs, module)
     base_idx = [cells.index(module.quotient(u)) for u in mu.domain.points]
 
     system = LinearSystem()
@@ -468,12 +494,16 @@ def pullback_periodic(result, W):
     cells = _cell_domain(module)
     reads = [[cells.index(module.quotient(add(p, g))) for p in W.points]
              for g in cells]
-    out = defaultdict(Fraction)
+    # int numerators over one denominator: lcm(mass denominators) * |cells|
+    lcm = math.lcm(*(mass.denominator for _, _, mass in result.orbits))
+    out = defaultdict(int)
     for cfg, size, mass in result.orbits:
-        share = mass * size / len(cells)
+        share = mass.numerator * (lcm // mass.denominator) * size
         for idx in reads:
             out[tuple(cfg[i] for i in idx)] += share
-    return Measure(W, result.alphabet, out)
+    den = lcm * len(cells)
+    return Measure(W, result.alphabet,
+                   {w: Fraction(n, den) for w, n in out.items()})
 
 
 def compute_H(module, U, alphabet):

@@ -4,17 +4,23 @@ Systems are built symbolically (named variables, equality and >=
 constraints, nonnegativity flags) and solved exactly over integer rows
 (see _Tableau) with Dantzig's rule, switching to Bland's rule after 30
 consecutive degenerate pivots until the objective moves again, so
-termination is guaranteed.  Only the solution read out is a Fraction,
-and it is re-verified exactly against the system.
+termination is guaranteed.  A pivot updates each affected row only at
+the pivot row's nonzeros.  Only the solution read out is a Fraction,
+and it is re-verified exactly against the system, also in ints: each
+constraint has one integer form (_int_row), used both by the tableau
+and by LinearSystem.check, which sums it against the point put over
+one common denominator.
 A pivot cap turns pathological instances into an explicit "aborted"
 verdict rather than a wrong answer.
 """
 
 import hashlib
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 
 FEASIBLE = "feasible"
@@ -59,20 +65,27 @@ class LinearSystem:
         self.inequalities.append((self._clean(coeffs), Fraction(rhs)))
 
     def check(self, assignment):
-        """Exactly verify a candidate assignment against every constraint."""
+        """Exactly verify a candidate assignment against every constraint.
+
+        Values (ints or Fractions) are put over one common denominator,
+        and each row, in its integer form (see _int_row), is summed in
+        ints: row . x == rhs becomes sum(c * X[v]) == rhs * den.
+        """
         for name in self.variables:
             if name not in assignment:
                 return False
             if name in self.nonneg and assignment[name] < 0:
                 return False
-        for coeffs, rhs in self.equalities:
-            if sum((c * assignment[v] for v, c in coeffs.items()),
-                   Fraction(0)) != rhs:
-                return False
-        for coeffs, rhs in self.inequalities:
-            if sum((c * assignment[v] for v, c in coeffs.items()),
-                   Fraction(0)) < rhs:
-                return False
+        values = [assignment[v] for v in self.variables]
+        den = math.lcm(*(x.denominator for x in values))
+        X = {v: x.numerator * (den // x.denominator)
+             for v, x in zip(self.variables, values)}
+        for rows, ok in ((self.equalities, operator.eq),
+                         (self.inequalities, operator.ge)):
+            for coeffs, rhs in rows:
+                _, ints, b = _int_row(coeffs, rhs)
+                if not ok(sum(c * X[v] for v, c in ints.items()), b * den):
+                    return False
         return True
 
     def dumps(self):
@@ -102,14 +115,49 @@ def _reduce(row):
     return [x // g for x in row] if g > 1 else row
 
 
+def _int_row(coeffs, rhs):
+    """A constraint times the lcm of its denominators, its integer form.
+
+    Returns (scale, {variable: int coefficient}, int rhs).
+    """
+    scale = math.lcm(rhs.denominator,
+                     *(c.denominator for c in coeffs.values()))
+    return (scale,
+            {v: c.numerator * (scale // c.denominator)
+             for v, c in coeffs.items()},
+            rhs.numerator * (scale // rhs.denominator))
+
+
+def _nonzeros(row, n):
+    """The (position, value) pairs of the nonzeros among row[:n]."""
+    return [(j, row[j]) for j in compress(range(n), row)]
+
+
+def _eliminate(row, f, p, nz):
+    """row * p - f * prow over its gcd, prow given by its nonzeros nz.
+
+    Only the positions in nz change; the row is copied, and scaled by p
+    only when p != 1.
+    """
+    out = row[:] if p == 1 else [x * p for x in row]
+    for j, y in nz:
+        out[j] -= f * y
+    return _reduce(out)
+
+
 class _Tableau:
-    """Dense simplex tableau over int rows; Dantzig's rule, Bland on stalls.
+    """Simplex tableau over int rows; Dantzig's rule, Bland on stalls.
 
     Row i is a list of ints, rhs last, standing for itself divided by
     rows[i][basis[i]] > 0.  A fraction-free pivot turns each row with a
     nonzero f in the pivot column into row*p - f*prow over its gcd.
-    Reduced costs are an int row up to a positive scale and the ratio
-    test cross-multiplies, so every choice is the rational tableau's.
+    The update is sparse: the pivot row's nonzeros are listed once, and
+    only those positions of an affected row are touched (window
+    polytope pivot rows are 4-25% nonzero, and p is often 1, so most
+    rows are a plain copy plus a few subtractions).  Reduced costs are
+    an int row up to a positive scale, updated the same way, and the
+    ratio test cross-multiplies, so every choice is the rational
+    tableau's.
     """
 
     def __init__(self, rows, ncols, basis):
@@ -119,17 +167,19 @@ class _Tableau:
         self.pivots = 0
 
     def pivot(self, r, c):
+        """Pivot on (r, c); returns the pivot row's nonzeros."""
         prow = self.rows[r]
         if prow[c] < 0:
             prow = self.rows[r] = [-x for x in prow]
         p = prow[c]
+        nz = _nonzeros(prow, len(prow))
         for i, other in enumerate(self.rows):
             f = other[c]
             if i != r and f:
-                self.rows[i] = _reduce([x * p - f * y if y else x * p
-                                        for x, y in zip(other, prow)])
+                self.rows[i] = _eliminate(other, f, p, nz)
         self.basis[r] = c
         self.pivots += 1
+        return nz
 
     def maximize(self, cost, pivot_limit):
         """Maximize cost . x (cost a list of ints) over the current basis.
@@ -145,8 +195,7 @@ class _Tableau:
             f = red[c]
             if f:
                 row = self.rows[r]
-                red = _reduce([x * row[c] - f * y
-                               for x, y in zip(red, row)])
+                red = _eliminate(red, f, row[c], _nonzeros(row, self.ncols))
         stall = 0
         while True:
             if self.pivots >= pivot_limit:
@@ -173,17 +222,16 @@ class _Tableau:
             if leave is None:
                 return "unbounded"
             stall = stall + 1 if lb == 0 else 0
-            self.pivot(leave, enter)
-            prow = self.rows[leave]
-            p, f = prow[enter], red[enter]
-            red = _reduce([x * p - f * y if y else x * p
-                           for x, y in zip(red, prow)])
+            nz = self.pivot(leave, enter)
+            if nz[-1][0] == self.ncols:  # red has no rhs entry
+                nz.pop()
+            red = _eliminate(red, red[enter], self.rows[leave][enter], nz)
 
 
 def _standard_form(system):
     """Split free variables, add slacks and artificials: int rows.
 
-    Each constraint is scaled by the lcm of its denominators, negated if
+    Each constraint is taken in its integer form (_int_row), negated if
     its rhs is negative, and ends in its rhs; its basic artificial holds
     the scale.  Returns (rows, colmap, width): width counts original and
     slack columns, colmap maps a variable to (plus_col, minus_col_or_None).
@@ -202,19 +250,18 @@ def _standard_form(system):
     width = ncols + len(system.inequalities)
     rows = []
     for k, (coeffs, b) in enumerate(constraints):
-        scale = math.lcm(b.denominator,
-                         *(c.denominator for c in coeffs.values()))
-        sign = -scale if b < 0 else scale
+        scale, ints, rhs = _int_row(coeffs, b)
+        sign = -1 if rhs < 0 else 1
         row = [0] * (width + len(constraints) + 1)
-        for v, c in coeffs.items():
+        for v, c in ints.items():
             plus, minus = cols[v]
-            row[plus] = c.numerator * sign // c.denominator
+            row[plus] = c * sign
             if minus is not None:
                 row[minus] = -row[plus]
         if k >= neq:
-            row[ncols + k - neq] = -sign
+            row[ncols + k - neq] = -sign * scale
         row[width + k] = scale
-        row[-1] = b.numerator * sign // b.denominator
+        row[-1] = rhs * sign
         rows.append(row)
     return rows, cols, width
 

@@ -100,9 +100,14 @@ class EntropyRateEstimate:
     markov_rate: float   # H(window m+1) - H(window m), the true rate
 
 
-def entropy_rate(ext, n):
-    """Per-site window entropy alongside the exact Markov entropy rate."""
-    per_site = finite_window_entropy(ext.window_measure(n)) / n
+def entropy_rate(ext, n, window=None):
+    """Per-site window entropy alongside the exact Markov entropy rate.
+
+    `window` is ext.window_measure(n) when the caller has built it already.
+    """
+    if window is None:
+        window = ext.window_measure(n)
+    per_site = finite_window_entropy(window) / n
     m = ext.memory
     h_full = finite_window_entropy(ext.base)
     h_pref = (finite_window_entropy(ext._prefix_marginal(m))

@@ -253,3 +253,46 @@ def brute_force_stationary(mu):
                 if any(a[w] != b[w] for w in words):
                     return False
     return True
+
+
+def translate_table(periods):
+    """Row g lists, for each cell c, the position of the cell c - g.
+
+    Cells are prod(range(p)) in lexicographic order, so a configuration
+    (a tuple over the cells) translated by g reads cfg[i] for i in row g.
+    """
+    cells = list(itertools.product(*(range(p) for p in periods)))
+    at = {c: i for i, c in enumerate(cells)}
+    return [[at[tuple((x - y) % p for x, y, p in zip(c, g, periods))]
+             for c in cells] for g in cells]
+
+
+def reference_orbit_partition(configs, periods):
+    """Translation orbits through the full cell-by-cell translate table,
+    in order of their first configuration in `configs`, each sorted."""
+    table = translate_table(periods)
+    orbits, seen = [], set()
+    for cfg in configs:
+        if cfg not in seen:
+            orbit = {tuple(cfg[i] for i in row) for row in table}
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    return orbits
+
+
+def reference_check(system, assignment):
+    """LinearSystem.check by plain Fraction sums, row by row."""
+    for name in system.variables:
+        if name not in assignment:
+            return False
+        if name in system.nonneg and assignment[name] < 0:
+            return False
+    for rows, holds in ((system.equalities, lambda s, b: s == b),
+                        (system.inequalities, lambda s, b: s >= b)):
+        for coeffs, rhs in rows:
+            total = Fraction(0)
+            for v, c in coeffs.items():
+                total += Fraction(c) * Fraction(assignment[v])
+            if not holds(total, rhs):
+                return False
+    return True

@@ -9,6 +9,7 @@ import pytest
 from extlab import cli, corpus, engine
 from extlab.cli import main
 from extlab.lattice import Domain, FiniteModule
+from extlab.markov import MarkovExtension
 from extlab.measures import Measure, WordSet, parse_word_key
 from extlab.corpus import (disconnected_counterexample, binary_counter_measure,
                            eca_rule, ca_to_sft)
@@ -57,6 +58,22 @@ def test_markov_roundtrip(write_json, capsys, tmp_path):
     data = json.loads(out_path.read_text())
     w = Measure.from_json_dict(data["measure"])
     assert w[(0, 0, 0)] == F(9, 32)
+    assert abs(data["entropy_rate"] - 0.8112781244591329) < 1e-12
+
+
+def test_markov_builds_the_window_once(write_json, capsys, monkeypatch):
+    calls = []
+    build = MarkovExtension.window_measure
+
+    def spy(self, n):
+        calls.append(n)
+        return build(self, n)
+    monkeypatch.setattr(MarkovExtension, "window_measure", spy)
+    path = write_json("mu.json", biased_pair().to_json_dict())
+    code, out = run(capsys, ["markov", path, "--window", "5"])
+    assert code == 0
+    assert calls == [5]
+    data = json.loads(out)
     assert abs(data["entropy_rate"] - 0.8112781244591329) < 1e-12
 
 

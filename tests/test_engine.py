@@ -15,12 +15,13 @@ from extlab.engine import (build_window_polytope, sft_emptiness, fill_window,
                            compute_H, epsilon_bound, refute_nonextendible,
                            SearchBudget)
 from extlab.lp import FEASIBLE, INFEASIBLE, ABORTED, solve_feasibility
-from extlab import harmonic
+from extlab import engine, harmonic
 from extlab.corpus import (disconnected_counterexample, pseudolattice_measure,
                            binary_counter_measure, binary_counter_support)
 
 from support import (brute_force_fillable, brute_force_torus_configs,
                      dense_pullback, random_measure, random_periodic_base,
+                     reference_orbit_partition, translate_table,
                      unreduced_torus_lp)
 
 
@@ -392,6 +393,41 @@ def test_counter_1_torus_orbit():
     assert res.config_count == 4
     pb = pullback_periodic(res, mu.domain)
     assert pb.masses == mu.masses
+
+
+def test_orbit_partition_matches_translate_table():
+    # orbits by rolling along each axis against the full |cells| x |cells|
+    # translate table: same orbits, same order, on 1-D, 2-D and 3-D tori
+    rng = random.Random(20)
+    shapes = [(1,), (5,), (6,), (2, 3), (3, 3), (4, 2), (1, 4), (2, 2, 2),
+              (2, 1, 3), (3, 2, 2)]
+    for trial in range(200):
+        periods = shapes[trial % len(shapes)]
+        ncells = len(translate_table(periods))
+        alphabet = rng.choice([2, 3])
+        seeds = [tuple(rng.randrange(alphabet) for _ in range(ncells))
+                 for _ in range(rng.randint(1, 6))]
+        if trial % 2:  # translation-closed, as the torus search lists them
+            seeds = [t for o in reference_orbit_partition(seeds, periods)
+                     for t in o]
+            rng.shuffle(seeds)
+        configs = list(dict.fromkeys(seeds))
+        assert engine._orbit_partition(configs, FiniteModule(periods)) \
+            == reference_orbit_partition(configs, periods), (trial, periods)
+    every = list(itertools.product(range(2), repeat=16))
+    assert engine._orbit_partition(every, FiniteModule((4, 4))) \
+        == reference_orbit_partition(every, (4, 4))
+
+
+def test_torus_measure_lists_translates_in_cell_order():
+    product = Measure.product_measure([F(1, 3), F(2, 3)], Domain.box(2, 2))
+    res = periodic_extension(product, (3, 4))
+    table = translate_table((3, 4))
+    expected = {}
+    for cfg, _, mass in res.orbits:
+        for row in table:
+            expected.setdefault(tuple(cfg[i] for i in row), mass)
+    assert list(res.torus_measure.masses.items()) == list(expected.items())
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from extlab.lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                        FEASIBLE, INFEASIBLE, ABORTED)
 from extlab.measures import Measure, random_stationary_measure
 
-from support import fm_feasible, system_to_ineqs
+from support import fm_feasible, reference_check, system_to_ineqs
 
 
 def simple_system(rows, rhs, nvars, nonneg=True):
@@ -173,6 +173,57 @@ def test_check_rejects_violations():
     assert s.check({"x0": F(1, 2), "x1": F(1, 2)})
     assert not s.check({"x0": F(3, 2), "x1": F(-1, 2)})
     assert not s.check({"x0": F(1, 2), "x1": F(1, 4)})
+
+
+def seeded_check_case(rng):
+    """A system and a candidate point for LinearSystem.check: free and
+    nonnegative variables, == and >= rows with rational coefficients
+    and rhs of either sign, int and Fraction values.  Rows are built
+    tight, slack or violated at the point; now and then a value is
+    missing or a nonnegative one is negative."""
+    def q():
+        return F(rng.randint(-6, 6), rng.randint(1, 6))
+    s = LinearSystem()
+    point = {}
+    for i in range(rng.randint(1, 6)):
+        nonneg = rng.random() < 0.6
+        s.add_variable(f"x{i}", nonneg=nonneg)
+        value = q() if rng.random() < 0.6 else rng.randint(-4, 4)
+        point[f"x{i}"] = abs(value) if nonneg and rng.random() < 0.9 \
+            else value
+    for _ in range(rng.randint(0, 4)):
+        coeffs = {v: q() for v in s.variables if rng.random() < 0.7}
+        at = sum((c * point[v] for v, c in coeffs.items()), F(0))
+        off = rng.choice([0, 0, 0, 1, -1]) * F(1, rng.randint(1, 7))
+        (s.add_eq if rng.random() < 0.5 else s.add_ge)(coeffs, at + off)
+    if rng.random() < 0.05:
+        del point[rng.choice(s.variables)]
+    return s, point
+
+
+def test_check_matches_fraction_sums():
+    rng = random.Random(7)
+    verdicts = {True: 0, False: 0}
+    strict_ge = rational_pass = missing = negative = 0
+    for _ in range(3000):
+        s, point = seeded_check_case(rng)
+        ok = s.check(point)
+        assert ok == reference_check(s, point), s.dumps()
+        verdicts[ok] += 1
+        missing += len(point) < len(s.variables)
+        negative += any(point.get(v, 0) < 0 for v in s.nonneg)
+        if ok:
+            rows = [(c, b) for c, b in s.inequalities
+                    if sum((x * point[v] for v, x in c.items()), F(0)) > b]
+            strict_ge += bool(rows)
+            rational_pass += any(x.denominator > 1 for c, _ in
+                                 s.equalities + s.inequalities
+                                 for x in c.values())
+    # both verdicts, slack >= rows, rational rows that hold, missing
+    # values and negative nonnegative values all occur
+    assert min(verdicts.values()) > 500
+    assert strict_ge > 100 and rational_pass > 100
+    assert missing > 50 and negative > 50
 
 
 # ---------------------------------------------------------------------------
