@@ -4,6 +4,16 @@ Characters of the product group (Z/A)^W are exponent maps on the window
 sites.  All arithmetic here is complex floating point; exact decisions
 stay with the rational modules, and these routines exist to confirm
 them independently within small tolerances.
+
+A coefficient table lists the characters in `all_characters` order:
+exponent vectors as mixed-radix numbers, first site most significant,
+the same order as the words of the window.  It comes from one
+length-A DFT along each site in turn (Cooley-Tukey on (Z/A)^W), which
+costs |W| * A^(|W|+1) operations instead of the A^|W| * |support| of
+summing every coefficient directly.  The stationarity and Parseval
+checks read a table they are given rather than recomputing it;
+`fourier_coeff`, the direct sum, serves single coefficients of large
+windows and is the reference the table is tested against.
 """
 
 import cmath
@@ -55,6 +65,32 @@ def all_characters(domain, alphabet):
     return out
 
 
+def _site_dft(values, alphabet, sites, sign):
+    """Length-A DFT, kernel e^(sign 2 pi i e b / A), along every site.
+
+    `values` is indexed by mixed-radix site digits, first site most
+    significant.  Each pass transforms the first site and appends it
+    as the last, so after one pass per site the order is restored.
+    """
+    n = len(values)
+    roots = [cmath.exp(2j * math.pi * r / alphabet) for r in range(alphabet)]
+    if sign < 0:
+        roots = [r.conjugate() for r in roots]
+    kernel = [[roots[e * b % alphabet] for b in range(alphabet)]
+              for e in range(alphabet)]
+    m = n // alphabet
+    for _ in range(sites):
+        rows = [values[b * m:(b + 1) * m] for b in range(alphabet)]
+        out = [0j] * n
+        for e, weights in enumerate(kernel):
+            acc = rows[0]
+            for w, row in zip(weights[1:], rows[1:]):
+                acc = [a + w * x for a, x in zip(acc, row)]
+            out[e::alphabet] = acc
+        values = out
+    return values
+
+
 def fourier_coeff(mu, chi):
     """mu^(chi) = sum_b mu[b] conj(chi(b)), summed over the support."""
     total = 0j
@@ -64,9 +100,16 @@ def fourier_coeff(mu, chi):
 
 
 def fourier_transform(mu):
-    """All coefficients, keyed by Character."""
-    return {chi: fourier_coeff(mu, chi)
-            for chi in all_characters(mu.domain, mu.alphabet)}
+    """All coefficients, keyed by Character in `all_characters` order."""
+    A = mu.alphabet
+    characters = all_characters(mu.domain, A)
+    values = [0j] * len(characters)
+    for word, mass in mu.masses.items():
+        index = 0
+        for symbol in word:
+            index = index * A + symbol
+        values[index] = complex(float(mass))
+    return dict(zip(characters, _site_dft(values, A, len(mu.domain), -1)))
 
 
 def inverse_transform(coeffs, domain, alphabet):
@@ -75,41 +118,47 @@ def inverse_transform(coeffs, domain, alphabet):
     The normalization 1/A^|W| makes this the exact inverse of
     fourier_transform (round-trip error at floating precision only).
     """
-    n = alphabet ** len(domain)
-    out = {}
-    for word in itertools.product(range(alphabet), repeat=len(domain)):
-        total = 0j
-        for chi, c in coeffs.items():
-            total += c * chi.evaluate(word, domain)
-        out[word] = total / n
-    return out
+    values = [coeffs.get(chi, 0j) for chi in all_characters(domain, alphabet)]
+    n = len(values)
+    words = itertools.product(range(alphabet), repeat=len(domain))
+    masses = _site_dft(values, alphabet, len(domain), 1)
+    return {word: v / n for word, v in zip(words, masses)}
 
 
-def parseval_residual(mu):
-    """| sum |mu^|^2 - A^|W| sum mu[b]^2 |, which should vanish."""
-    lhs = sum(abs(c) ** 2 for c in fourier_transform(mu).values())
+def parseval_residual(mu, coeffs=None):
+    """| sum |mu^|^2 - A^|W| sum mu[b]^2 |, which should vanish.
+
+    `coeffs` is mu's table from fourier_transform, computed if not given.
+    """
+    if coeffs is None:
+        coeffs = fourier_transform(mu)
+    lhs = sum(abs(c) ** 2 for c in coeffs.values())
     rhs = mu.word_count() * float(sum(m * m for m in mu.masses.values()))
     return abs(lhs - rhs)
 
 
-def check_stationarity_fourier(mu, tol=1e-9):
+def check_stationarity_fourier(mu, tol=1e-9, coeffs=None):
     """Local stationarity via coefficient agreement along translates.
 
     For each character supported in the window and each lattice shift
     keeping the support inside, the two coefficients must agree; this
-    mirrors the exact marginal-overlap criterion.  Returns (ok, witness).
+    mirrors the exact marginal-overlap criterion.  `coeffs` is mu's
+    table from fourier_transform, computed if not given; every shifted
+    character is supported in the window, so it is a key of the table.
+    Returns (ok, witness).
     """
     from .lattice import Domain
+    if coeffs is None:
+        coeffs = fourier_transform(mu)
     W = mu.domain
-    for chi in all_characters(W, mu.alphabet):
+    for chi, base in coeffs.items():
         if not chi.exponents:
             continue
         S = Domain(W.dim, chi.support)
-        base = fourier_coeff(mu, chi)
         for k in translates_inside(S, W):
             if all(c == 0 for c in k):
                 continue
-            shifted = fourier_coeff(mu, chi.shift(k))
+            shifted = coeffs[chi.shift(k)]
             if abs(base - shifted) > tol:
                 return False, (chi, k)
     return True, ()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from extlab import cli, corpus, engine
+from extlab import cli, corpus, engine, harmonic
 from extlab.cli import main
 from extlab.lattice import Domain, FiniteModule
 from extlab.markov import MarkovExtension
@@ -161,6 +162,42 @@ def test_fourier(write_json, capsys):
     assert data["stationary"] is True
     assert abs(data["coefficients"]["1"][0] - 1) < 1e-12
     assert data["parseval_residual"] < 1e-9
+
+
+def test_fourier_builds_one_table(write_json, capsys, monkeypatch):
+    tables = []
+    transform = harmonic.fourier_transform
+
+    def spy(mu):
+        tables.append(mu)
+        return transform(mu)
+
+    def direct(mu, chi):
+        raise AssertionError("a coefficient was summed directly")
+    monkeypatch.setattr(harmonic, "fourier_transform", spy)
+    monkeypatch.setattr(harmonic, "fourier_coeff", direct)
+    for mu in (biased_pair(), disconnected_counterexample(),
+               Measure(Domain.interval(0, 1), 2,
+                       {(0, 0): F(1, 2), (0, 1): F(1, 2)})):
+        tables.clear()
+        path = write_json("mu.json", mu.to_json_dict())
+        code, _ = run(capsys, ["fourier", path])
+        assert code in (0, 1)
+        assert len(tables) == 1
+
+
+def test_fourier_on_a_12_site_window(write_json, capsys):
+    # 4,096 words: the direct sums took seconds here
+    uni = Measure.uniform(Domain.interval(0, 1), 2)
+    window = MarkovExtension(uni).window_measure(12)
+    assert len(window.masses) == 4096
+    path = write_json("w12.json", window.to_json_dict())
+    code, out = run(capsys, ["fourier", path])
+    assert code == 0
+    data = json.loads(out)
+    assert data["stationary"] is True
+    assert data["parseval_residual"] < 1e-9
+    assert len(data["coefficients"]) == 4096
 
 
 def test_entropy_metric(write_json, capsys):
@@ -321,6 +358,35 @@ def test_torus_cell_cap_exit_code(write_json, capsys, monkeypatch):
     path = write_json("good.json", biased_pair().to_json_dict())
     assert main(["periodic", path, "--period", "16"]) == 3
     assert "torus has 16 cells" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def spy(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    for _ in range(3):
+        assert main(["corpus", "counter", "--k", "1"]) == 0
+    assert builds == ["extlab"]
+    capsys.readouterr()
+
+
+def test_cached_parser_keeps_defaults_and_survives_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "no-such-instance"])
+    assert exc.value.code == 2
+    code, out = run(capsys, ["corpus", "counter", "--k", "2"])
+    assert code == 0
+    assert (Measure.from_json_dict(json.loads(out)).masses
+            == binary_counter_measure(2).masses)
+    code, out = run(capsys, ["corpus", "counter"])
+    assert code == 0
+    assert (Measure.from_json_dict(json.loads(out)).masses
+            == binary_counter_measure(3).masses)
 
 
 def test_internal_error_exit_code(write_json, capsys, monkeypatch):

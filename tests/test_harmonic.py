@@ -57,6 +57,9 @@ def test_parseval():
     for _ in range(10):
         mu = random_measure(2, Domain.box(2, 2), rng)
         assert harmonic.parseval_residual(mu) < 1e-9
+        table = harmonic.fourier_transform(mu)
+        assert (harmonic.parseval_residual(mu, table)
+                == harmonic.parseval_residual(mu))
 
 
 def test_stationarity_agreement():
@@ -73,6 +76,9 @@ def test_stationarity_agreement():
         assert exact == approx
         if not approx:
             assert witness
+        table = harmonic.fourier_transform(mu)
+        assert (harmonic.check_stationarity_fourier(mu, coeffs=table)
+                == (approx, witness))
 
 
 def test_extension_agreement():
@@ -89,3 +95,27 @@ def test_extension_agreement():
                     == base.shift((t,)).masses for t in range(3))
         got, _ = harmonic.check_extension_fourier(base, other)
         assert got == exact
+
+
+def test_table_matches_direct_sums():
+    # the per-site transform against the direct sum, key for key, on
+    # 1-D and 2-D windows with negative coordinates, a single site,
+    # point masses and sparse supports
+    rng = random.Random(35)
+    domains = [Domain.interval(-1, -1), Domain.interval(-2, 0),
+               Domain.interval(0, 1), Domain.box(2, 2),
+               Domain(2, [(-1, 0), (0, -1), (0, 0)]),
+               Domain(2, [(-1, -1), (0, 1), (2, 0)])]
+    for _ in range(60):
+        A = rng.choice([2, 3, 4])
+        dom = rng.choice(domains)
+        pick = rng.randrange(3)
+        if pick == 0:
+            word = tuple(rng.randrange(A) for _ in dom.points)
+            mu = Measure.point_mass(dom, A, word)
+        else:
+            mu = random_measure(A, dom, rng, sparse=pick == 1)
+        table = harmonic.fourier_transform(mu)
+        assert list(table) == harmonic.all_characters(dom, A)
+        for chi, c in table.items():
+            assert abs(c - harmonic.fourier_coeff(mu, chi)) < 1e-12
