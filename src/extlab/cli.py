@@ -8,7 +8,6 @@ other unexpected exception), which are never a verdict.
 """
 
 import argparse
-import functools
 import json
 import sys
 import traceback
@@ -125,13 +124,13 @@ def cmd_perconfig(args):
 def cmd_fourier(args):
     mu = _load_measure(args.measure)
     coeffs = harmonic.fourier_transform(mu)
-    ok, witness = harmonic.check_stationarity_fourier(mu, coeffs=coeffs)
+    ok, witness = harmonic.check_stationarity_fourier(mu)
     table = {}
     for chi, c in coeffs.items():
         key = ";".join(f"{word_key(p)}:{e}" for p, e in chi.exponents) or "1"
         table[key] = [c.real, c.imag]
     _emit({"coefficients": table,
-           "parseval_residual": harmonic.parseval_residual(mu, coeffs),
+           "parseval_residual": harmonic.parseval_residual(mu),
            "stationary": ok})
     return OK if ok else NEGATIVE
 
@@ -178,14 +177,7 @@ def cmd_corpus(args):
     return OK
 
 
-@functools.cache
 def build_parser():
-    """The argument parser, built once per process and shared by every
-    caller, so callers must not modify it.
-
-    It binds no handler: main looks up cmd_<command> when it runs, so
-    the parser holds no function objects that could go stale.
-    """
     parser = argparse.ArgumentParser(
         prog="extlab",
         description="stationary extension problems for lattice measures")
@@ -193,38 +185,46 @@ def build_parser():
 
     p = sub.add_parser("stationary", help="check local stationarity")
     p.add_argument("measure")
+    p.set_defaults(func=cmd_stationary)
 
     p = sub.add_parser("markov", help="Markov extension window measure")
     p.add_argument("measure")
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--out")
+    p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser("periodic", help="periodic (torus) extension LP")
     p.add_argument("measure")
     p.add_argument("--period", required=True,
                    help="comma-separated periods, e.g. 4,8")
     p.add_argument("--out")
+    p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("refute", help="attempt a non-extendibility proof")
     p.add_argument("measure")
     p.add_argument("--max-window", type=int, default=4)
     p.add_argument("--out")
+    p.set_defaults(func=cmd_refute)
 
     p = sub.add_parser("tiling", help="subshift emptiness search")
     p.add_argument("words")
     p.add_argument("--max-window", type=int, default=6)
+    p.set_defaults(func=cmd_tiling)
 
     p = sub.add_parser("perconfig", help="periodic configuration search")
     p.add_argument("words")
     p.add_argument("--period", required=True)
+    p.set_defaults(func=cmd_perconfig)
 
     p = sub.add_parser("fourier", help="Fourier coefficient table")
     p.add_argument("measure")
+    p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("entropy-metric", help="entropy distance of site sets")
     p.add_argument("measure")
     p.add_argument("--sets", required=True,
                    help='JSON pair of point lists, e.g. "[[[0]],[[3]]]"')
+    p.set_defaults(func=cmd_entropy_metric)
 
     p = sub.add_parser("corpus", help="emit a built-in instance")
     p.add_argument("name", choices=list(CORPUS))
@@ -234,14 +234,15 @@ def build_parser():
     p.add_argument("--d-reading", choices=["distinct", "typo"],
                    default="distinct")
     p.add_argument("--out")
+    p.set_defaults(func=cmd_corpus)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    handler = globals()["cmd_" + args.command.replace("-", "_")]
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return handler(args)
+        return args.func(args)
     except (CapExceeded, SearchBudget) as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return BUDGET

@@ -10,8 +10,8 @@ exponent vectors as mixed-radix numbers, first site most significant,
 the same order as the words of the window.  It comes from one
 length-A DFT along each site in turn (Cooley-Tukey on (Z/A)^W), which
 costs |W| * A^(|W|+1) operations instead of the A^|W| * |support| of
-summing every coefficient directly.  The stationarity and Parseval
-checks read a table they are given rather than recomputing it;
+summing every coefficient directly.  The stationarity check builds
+one table and reads every coefficient and shifted coefficient from it;
 `fourier_coeff`, the direct sum, serves single coefficients of large
 windows and is the reference the table is tested against.
 """
@@ -117,39 +117,37 @@ def inverse_transform(coeffs, domain, alphabet):
 
     The normalization 1/A^|W| makes this the exact inverse of
     fourier_transform (round-trip error at floating precision only).
+    Missing characters count as zero; a key that is not a character of
+    the window raises ValueError.
     """
-    values = [coeffs.get(chi, 0j) for chi in all_characters(domain, alphabet)]
+    characters = all_characters(domain, alphabet)
+    if coeffs.keys() - set(characters):
+        raise ValueError("a coefficient key is not a character of the window")
+    values = [coeffs.get(chi, 0j) for chi in characters]
     n = len(values)
     words = itertools.product(range(alphabet), repeat=len(domain))
     masses = _site_dft(values, alphabet, len(domain), 1)
     return {word: v / n for word, v in zip(words, masses)}
 
 
-def parseval_residual(mu, coeffs=None):
-    """| sum |mu^|^2 - A^|W| sum mu[b]^2 |, which should vanish.
-
-    `coeffs` is mu's table from fourier_transform, computed if not given.
-    """
-    if coeffs is None:
-        coeffs = fourier_transform(mu)
-    lhs = sum(abs(c) ** 2 for c in coeffs.values())
+def parseval_residual(mu):
+    """| sum |mu^|^2 - A^|W| sum mu[b]^2 |, which should vanish."""
+    lhs = sum(abs(c) ** 2 for c in fourier_transform(mu).values())
     rhs = mu.word_count() * float(sum(m * m for m in mu.masses.values()))
     return abs(lhs - rhs)
 
 
-def check_stationarity_fourier(mu, tol=1e-9, coeffs=None):
+def check_stationarity_fourier(mu, tol=1e-9):
     """Local stationarity via coefficient agreement along translates.
 
     For each character supported in the window and each lattice shift
     keeping the support inside, the two coefficients must agree; this
-    mirrors the exact marginal-overlap criterion.  `coeffs` is mu's
-    table from fourier_transform, computed if not given; every shifted
-    character is supported in the window, so it is a key of the table.
-    Returns (ok, witness).
+    mirrors the exact marginal-overlap criterion.  Both are read from
+    one table: a shifted character is supported in the window, so it is
+    a key of it.  Returns (ok, witness).
     """
     from .lattice import Domain
-    if coeffs is None:
-        coeffs = fourier_transform(mu)
+    coeffs = fourier_transform(mu)
     W = mu.domain
     for chi, base in coeffs.items():
         if not chi.exponents:

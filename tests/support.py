@@ -9,7 +9,8 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 
-from extlab.lattice import Domain, EnvelopeCheck, add
+from extlab import harmonic
+from extlab.lattice import Domain, EnvelopeCheck, add, translates_inside
 from extlab.lp import LinearSystem
 from extlab.measures import Measure
 
@@ -296,3 +297,18 @@ def reference_check(system, assignment):
             if not holds(total, rhs):
                 return False
     return True
+
+
+def reference_stationarity_fourier(mu, tol=1e-9):
+    """check_stationarity_fourier by one direct fourier_coeff sum per
+    character and per shifted character, in all_characters order."""
+    W = mu.domain
+    for chi in harmonic.all_characters(W, mu.alphabet):
+        if not chi.exponents:
+            continue
+        base = harmonic.fourier_coeff(mu, chi)
+        for k in translates_inside(Domain(W.dim, chi.support), W):
+            if any(k) and abs(base - harmonic.fourier_coeff(
+                    mu, chi.shift(k))) > tol:
+                return False, (chi, k)
+    return True, ()

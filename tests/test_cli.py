@@ -1,4 +1,3 @@
-import argparse
 import json
 import re
 import shlex
@@ -164,26 +163,18 @@ def test_fourier(write_json, capsys):
     assert data["parseval_residual"] < 1e-9
 
 
-def test_fourier_builds_one_table(write_json, capsys, monkeypatch):
-    tables = []
-    transform = harmonic.fourier_transform
-
-    def spy(mu):
-        tables.append(mu)
-        return transform(mu)
-
+def test_fourier_sums_no_coefficient_directly(write_json, capsys,
+                                              monkeypatch):
+    # every coefficient, shifted ones included, comes from a table
     def direct(mu, chi):
         raise AssertionError("a coefficient was summed directly")
-    monkeypatch.setattr(harmonic, "fourier_transform", spy)
     monkeypatch.setattr(harmonic, "fourier_coeff", direct)
     for mu in (biased_pair(), disconnected_counterexample(),
                Measure(Domain.interval(0, 1), 2,
                        {(0, 0): F(1, 2), (0, 1): F(1, 2)})):
-        tables.clear()
         path = write_json("mu.json", mu.to_json_dict())
         code, _ = run(capsys, ["fourier", path])
         assert code in (0, 1)
-        assert len(tables) == 1
 
 
 def test_fourier_on_a_12_site_window(write_json, capsys):
@@ -358,35 +349,6 @@ def test_torus_cell_cap_exit_code(write_json, capsys, monkeypatch):
     path = write_json("good.json", biased_pair().to_json_dict())
     assert main(["periodic", path, "--period", "16"]) == 3
     assert "torus has 16 cells" in capsys.readouterr().err
-
-
-def test_parser_is_built_once(capsys, monkeypatch):
-    builds = []
-    add_subparsers = argparse.ArgumentParser.add_subparsers
-
-    def spy(self, **kwargs):
-        builds.append(self.prog)
-        return add_subparsers(self, **kwargs)
-    cli.build_parser.cache_clear()
-    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
-    for _ in range(3):
-        assert main(["corpus", "counter", "--k", "1"]) == 0
-    assert builds == ["extlab"]
-    capsys.readouterr()
-
-
-def test_cached_parser_keeps_defaults_and_survives_usage_errors(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["corpus", "no-such-instance"])
-    assert exc.value.code == 2
-    code, out = run(capsys, ["corpus", "counter", "--k", "2"])
-    assert code == 0
-    assert (Measure.from_json_dict(json.loads(out)).masses
-            == binary_counter_measure(2).masses)
-    code, out = run(capsys, ["corpus", "counter"])
-    assert code == 0
-    assert (Measure.from_json_dict(json.loads(out)).masses
-            == binary_counter_measure(3).masses)
 
 
 def test_internal_error_exit_code(write_json, capsys, monkeypatch):
