@@ -21,10 +21,9 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded, cell_cap,
-                      add, translates_inside, verify_envelope)
+                      add, translates_inside, verify_envelope, _overlaps)
 from .measures import (Measure, WordSet, is_locally_stationary,
-                       entropy_chain_refute, support_word_set, word_key,
-                       _overlaps)
+                       entropy_chain_refute, support_word_set, word_key)
 from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                  FEASIBLE, INFEASIBLE, ABORTED, DEFAULT_PIVOT_LIMIT)
 
@@ -94,9 +93,7 @@ def build_window_polytope(mu, W, cap=None):
     system.add_eq({_var(w): 1 for w in words}, 1)
 
     # stationarity via maximal overlaps
-    zero = (0,) * W.dim
-    for V, k in _overlaps(W):
-        left, right = _placements(V, W, [zero, k])
+    for _, _, left, right in _overlaps(W):
         groups = defaultdict(dict)
         for w in words:
             bl = tuple(w[i] for i in left)
@@ -356,7 +353,6 @@ class PeriodicExtensionResult:
     envelope_warning: str = ""
     reason: str = ""            # why an aborted run stopped
     config_count: int = 0
-    lp_digest: str = ""
 
     @property
     def torus_measure(self):
@@ -472,7 +468,7 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     result = PeriodicExtensionResult(
         sol.status, module, mu.alphabet, envelope_warning=warning,
         reason="pivot limit exceeded" if sol.status == ABORTED else "",
-        config_count=len(configs), lp_digest=system.digest())
+        config_count=len(configs))
     if sol.status != FEASIBLE:
         return result
 
@@ -537,7 +533,8 @@ def epsilon_bound(result, U):
 @dataclass
 class RefutationReport:
     verdict: str               # "refuted" or "unknown"
-    method: str = ""           # "entropy-chain", "tiling", or "lp"
+    method: str = ""           # "stationarity", "entropy-chain", "tiling"
+                               # or "lp"
     window: Domain = None
     detail: dict = field(default_factory=dict)
 
@@ -556,12 +553,19 @@ def refute_nonextendible(mu, max_window=4, windows=None, lp_cap=None,
                          pivot_limit=DEFAULT_PIVOT_LIMIT):
     """Attempt to prove that mu admits no stationary extension.
 
-    Tries, in order: entropy-chain contradictions, emptiness of the
-    subshift defined by the support, and exact LP infeasibility of the
-    window extension polytopes over the window schedule.  Any single
-    success is a proof of non-extendibility; exhausting the schedule is
-    not, so the fallback verdict is "unknown".
+    Tries, in order: local stationarity (a failing overlap is the
+    witness), entropy-chain contradictions, emptiness of the subshift
+    defined by the support, and exact LP infeasibility of the window
+    extension polytopes over the window schedule.  Any single success is
+    a proof of non-extendibility; exhausting the schedule is not, so the
+    fallback verdict is "unknown".  A window whose polytope or simplex
+    tableau passes the cell cap is recorded in the detail and skipped.
     """
+    local = is_locally_stationary(mu)
+    if not local.ok:
+        return RefutationReport("refuted", "stationarity", mu.domain,
+                                {"witness": local.witness})
+
     D = mu.domain.dim
     if windows is None:
         windows = default_window_schedule(D, max_window)
@@ -578,14 +582,10 @@ def refute_nonextendible(mu, max_window=4, windows=None, lp_cap=None,
         return RefutationReport("refuted", "entropy-chain", W,
                                 {"pair": chain.pair, "chain": chain.path})
 
-    try:
+    # with no scheduled window the tiling condition says nothing
+    if windows:
         empt = sft_emptiness(support_word_set(mu), windows,
                              node_cap=node_cap)
-    except ValueError:
-        # no scheduled window admits a translate of the support domain;
-        # the tiling condition yields no evidence either way
-        empt = None
-    if empt is not None:
         if empt.status == "empty":
             return RefutationReport("refuted", "tiling", empt.window)
         if empt.reason:
@@ -595,13 +595,10 @@ def refute_nonextendible(mu, max_window=4, windows=None, lp_cap=None,
     for W in windows:
         try:
             polytope = build_window_polytope(mu, W, cap=lp_cap)
+            res = polytope.solve(pivot_limit=pivot_limit)
         except CapExceeded as exc:
             detail[f"lp {W.bounding_box()}"] = str(exc)
             continue
-        except ValueError:
-            # the base domain does not fit inside this window
-            continue
-        res = polytope.solve(pivot_limit=pivot_limit)
         if res.status == INFEASIBLE:
             return RefutationReport(
                 "refuted", "lp", W,

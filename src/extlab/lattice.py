@@ -139,6 +139,28 @@ def translates_inside(V, W):
     return out
 
 
+def _overlaps(domain):
+    """(V, k, left, right) for each nonzero shift k = q - p between domain
+    points, one per +/- pair, in increasing order.
+
+    V = domain cap (domain - k) is the tuple of points p with p + k in
+    the domain, in canonical order, and is never empty (it holds p).
+    `left` and `right` are the positions in domain.points of V and of
+    V + k, in V's order, so a word reads its overlap marginals there.
+    """
+    zero = (0,) * domain.dim
+    shifts = {sub(q, p) for p in domain.points for q in domain.points}
+    for k in sorted(d for d in shifts if d > zero):
+        V, left, right = [], [], []
+        for i, p in enumerate(domain.points):
+            q = add(p, k)
+            if q in domain:
+                V.append(p)
+                left.append(i)
+                right.append(domain.index(q))
+        yield tuple(V), k, tuple(left), tuple(right)
+
+
 @dataclass(frozen=True)
 class FiniteModule:
     """The quotient Z^D -> Z/P_1 x ... x Z/P_D, coordinatewise reduction."""

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 
+from .lattice import CapExceeded, cell_cap
+
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -273,11 +275,19 @@ def solve_feasibility(system, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT,
     A warm-start assignment that verifies exactly short-circuits the
     search (feasibility mode only).  The returned assignment is
     re-verified exactly against the system; exceeding the pivot cap
-    yields status "aborted", never a guess.
+    yields status "aborted", never a guess.  A tableau of more than
+    cell_cap() entries raises CapExceeded before any row is built.
     """
     if warm_start is not None and objective is None \
             and system.check(warm_start):
         return FeasibilityResult(FEASIBLE, dict(warm_start))
+    # rows x (columns, free variables split, + slacks + artificials + rhs)
+    m = len(system.equalities) + len(system.inequalities)
+    width = (2 * len(system.variables) - len(system.nonneg)
+             + len(system.inequalities))
+    if m * (width + m + 1) > cell_cap():
+        raise CapExceeded(f"simplex tableau needs {m} x {width + m + 1} "
+                          f"= {m * (width + m + 1)} entries")
     rows, cols, width = _standard_form(system)
     m = len(rows)
     # phase 1: artificial basis

@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Domain, CapExceeded, cell_cap, sub, add
+from .lattice import Domain, CapExceeded, cell_cap, sub, add, _overlaps
 
 
 def word_key(word):
@@ -206,33 +206,28 @@ class StationarityResult:
     witness: tuple  # () if ok, else (V points, word, shift k)
 
 
-def _overlaps(domain):
-    """(V, k) for each nonzero shift k = q - p between domain points, one
-    per +/- pair, in increasing order, with V = domain cap (domain - k).
-
-    Both V and V + k lie in the domain, and V is never empty: it holds p.
-    """
-    zero = (0,) * domain.dim
-    shifts = {sub(q, p) for p in domain.points for q in domain.points}
-    for k in sorted(d for d in shifts if d > zero):
-        yield domain.intersection(domain.shift(tuple(-c for c in k))), k
-
-
 def is_locally_stationary(mu):
     """Check marginal consistency on all maximal self-overlaps of the domain.
 
     For each nonzero shift k the overlap V = U cap (U - k) satisfies both
     V <= U and V + k <= U, and agreement of the two induced marginals for
     every such k is equivalent to agreement for all translated sub-domain
-    pairs inside U.
+    pairs inside U.  Each word adds its mass to its reading at V and
+    subtracts it from its reading at V + k, as int numerators over one
+    common denominator; the witness is the first word, in sorted order,
+    left with a nonzero sum.
     """
-    for V, k in _overlaps(mu.domain):
-        left = mu.marginal(V)
-        right = mu.marginal(V.shift(k))
-        words = set(left.masses) | set(right.masses)
-        for b in sorted(words):
-            if left[b] != right[b]:
-                return StationarityResult(False, (V.points, b, k))
+    den = math.lcm(*(m.denominator for m in mu.masses.values()))
+    ints = [(word, m.numerator * (den // m.denominator))
+            for word, m in mu.masses.items()]
+    for V, k, left, right in _overlaps(mu.domain):
+        diff = defaultdict(int)
+        for word, n in ints:
+            diff[tuple(word[i] for i in left)] += n
+            diff[tuple(word[i] for i in right)] -= n
+        for b in sorted(diff):
+            if diff[b]:
+                return StationarityResult(False, (V, b, k))
     return StationarityResult(True, ())
 
 

@@ -256,6 +256,101 @@ def brute_force_stationary(mu):
     return True
 
 
+# 1-D and 2-D domains for the overlap checks: intervals and boxes,
+# negative coordinates and scattered sites
+OVERLAP_DOMAINS = [
+    Domain.interval(0, 1), Domain.interval(-2, 0), Domain.interval(0, 3),
+    Domain(1, [(0,), (1,), (3,)]), Domain(1, [(-4,), (-1,), (0,)]),
+    Domain.box(2, 2), Domain(2, [(0, 0), (1, 1), (2, 0), (0, 2)]),
+    Domain(2, [(-1, 0), (0, -1), (0, 0)]),
+    Domain(2, [(-1, -1), (0, 1), (2, 0)]),
+]
+
+
+def _pair_swap(mu, rng):
+    """mu with mass moved between four words that differ at two sites.
+
+    Adds e to the words reading (x, y) and (x', y') at sites i, j and
+    takes it from (x, y') and (x', y), the other sites fixed, so every
+    marginal not holding both i and j stays put.  Returns mu itself when
+    one of the two donors has no mass.
+    """
+    A = mu.alphabet
+    i, j = sorted(rng.sample(range(len(mu.domain)), 2))
+    x, x2 = rng.sample(range(A), 2)
+    y, y2 = rng.sample(range(A), 2)
+    base = list(rng.choice(sorted(mu.masses)))
+
+    def word(a, b):
+        base[i], base[j] = a, b
+        return tuple(base)
+
+    gain, loss = (word(x, y), word(x2, y2)), (word(x, y2), word(x2, y))
+    e = min(mu[w] for w in loss)
+    if e == 0:
+        return mu
+    masses = dict(mu.masses)
+    for w in gain:
+        masses[w] = masses.get(w, 0) + e
+    for w in loss:
+        masses[w] -= e
+    return Measure(mu.domain, A, masses)
+
+
+def seeded_overlap_measures(seed, count):
+    """`count` seeded measures over OVERLAP_DOMAINS, alphabets 2 to 4.
+
+    In turn: a random measure (dense, or a sparse support), a locally
+    stationary one (a reading of random torus fillings, sparse when few),
+    and such a stationary one after a pair swap, which keeps the one-site
+    marginals, so it can fail first at a later overlap.
+    """
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        U = rng.choice(OVERLAP_DOMAINS)
+        A = rng.choice([2, 3, 4])
+        if t % 3 == 0:
+            out.append(random_measure(A, U, rng, sparse=rng.random() < 0.5))
+            continue
+        periods = tuple(rng.choice([2, 3]) if A < 4 else 2
+                        for _ in range(U.dim))
+        cells = 1
+        for p in periods:
+            cells *= p
+        mu = random_periodic_base(U, A, periods, rng,
+                                  count=rng.randint(1, min(12, A ** cells)))
+        if t % 3 == 2:
+            for _ in range(8):
+                swapped = _pair_swap(mu, rng)
+                if swapped is not mu:
+                    mu = swapped
+                    break
+        out.append(mu)
+    return out
+
+
+def reference_locally_stationary(mu):
+    """is_locally_stationary by two marginal Measures per maximal overlap.
+
+    For each shift k > 0 between domain points, in increasing order, the
+    overlap V = U cap (U - k) is built as a Domain, and the marginals on
+    V and V + k are compared word by word in sorted order.  Returns
+    (ok, witness), the witness being (V points, word, k).
+    """
+    U = mu.domain
+    zero = (0,) * U.dim
+    shifts = {tuple(b - a for a, b in zip(p, q))
+              for p in U.points for q in U.points}
+    for k in sorted(d for d in shifts if d > zero):
+        V = U.intersection(U.shift(tuple(-c for c in k)))
+        left, right = mu.marginal(V), mu.marginal(V.shift(k))
+        for b in sorted(set(left.masses) | set(right.masses)):
+            if left[b] != right[b]:
+                return False, (V.points, b, k)
+    return True, ()
+
+
 def translate_table(periods):
     """Row g lists, for each cell c, the position of the cell c - g.
 

@@ -112,6 +112,18 @@ def test_refute_reports_window(write_json, capsys):
     assert json.loads(out)["verdict"] == "unknown"
 
 
+def test_refute_non_stationary_exits_1(write_json, capsys):
+    # a valid measure that is not locally stationary has no extension
+    path = write_json("skew.json", {"dim": 1, "alphabet": 2,
+                                    "domain": [[0], [1]],
+                                    "masses": {"0,0": "1/2", "0,1": "1/2"}})
+    code, out = run(capsys, ["refute", path])
+    assert code == 1
+    assert json.loads(out) == {"verdict": "refuted", "method": "stationarity",
+                               "window": [[0], [1]],
+                               "detail": {"witness": "(((0,),), (0,), (1,))"}}
+
+
 def test_tiling_and_perconfig(write_json, capsys):
     gm = WordSet(Domain.interval(0, 1), 2, [(0, 0), (0, 1), (1, 0)])
     path = write_json("gm.json", gm.to_json_dict())
@@ -349,6 +361,19 @@ def test_torus_cell_cap_exit_code(write_json, capsys, monkeypatch):
     path = write_json("good.json", biased_pair().to_json_dict())
     assert main(["periodic", path, "--period", "16"]) == 3
     assert "torus has 16 cells" in capsys.readouterr().err
+
+
+def test_tableau_cap_exit_code(write_json, capsys, monkeypatch):
+    # biased_pair on the 4-cycle: 6 orbits, 5 rows, 60 tableau entries,
+    # and the uniform warm start fails its check
+    path = write_json("good.json", biased_pair().to_json_dict())
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "59")
+    assert main(["periodic", path, "--period", "4"]) == 3
+    assert "simplex tableau needs 5 x 12 = 60 entries" \
+        in capsys.readouterr().err
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "60")
+    assert main(["periodic", path, "--period", "4"]) == 0
+    capsys.readouterr()
 
 
 def test_internal_error_exit_code(write_json, capsys, monkeypatch):

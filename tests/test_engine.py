@@ -99,6 +99,26 @@ def test_polytope_digests_are_pinned():
         assert build_window_polytope(mu, W).system.digest() == digest
 
 
+def test_polytope_stationarity_rows_read_overlap_positions(monkeypatch):
+    # the rows come from the overlap positions: no shifted Domain, no
+    # marginal, and _placements only for the base translates
+    calls = []
+
+    def placements(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    def forbidden(*args):
+        raise AssertionError("a shifted Domain or a marginal was built")
+    real = engine._placements
+    monkeypatch.setattr(engine, "_placements", placements)
+    monkeypatch.setattr(Domain, "shift", forbidden)
+    monkeypatch.setattr(Measure, "marginal", forbidden)
+    mu = Measure.uniform(Domain.box(2, 2), 2)
+    build_window_polytope(mu, Domain.box(2, (2, 3)))
+    assert calls == [[(0, 0), (0, 1)]]
+
+
 def test_polytope_cap():
     mu = pseudolattice_measure()
     with pytest.raises(CapExceeded):
@@ -515,6 +535,40 @@ def test_refute_unknown_on_extendible():
     rep = refute_nonextendible(base, max_window=4)
     assert rep.verdict == "unknown"
     assert "feasible_up_to" in rep.detail
+
+
+def test_refute_non_stationary_by_its_overlap():
+    mu = Measure(Domain(1, [(0,), (2,)]), 2,
+                 {(0, 0): F(1, 2), (0, 1): F(1, 4), (1, 1): F(1, 4)})
+    rep = refute_nonextendible(mu, max_window=3)
+    assert (rep.verdict, rep.method) == ("refuted", "stationarity")
+    assert rep.window == mu.domain
+    assert rep.detail == {"witness": is_locally_stationary(mu).witness}
+    assert rep.detail["witness"] == (((0,),), (0,), (2,))
+
+
+def test_refute_without_a_fitting_window_is_unknown():
+    # a 3-site base fits in no window of side 1: every stage after local
+    # stationarity has nothing to try
+    mu = random_stationary_measure(2, 3, random.Random(3))
+    rep = refute_nonextendible(mu, max_window=1)
+    assert (rep.verdict, rep.method, rep.window) == ("unknown", "", None)
+    assert rep.detail == {}
+
+
+def test_refute_records_capped_tableaus(monkeypatch):
+    # biased_pair's window LPs on [0..1] and [0..2] need 7 x 12 and
+    # 15 x 24 tableau entries; both windows are recorded, none decided
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "83")
+    rep = refute_nonextendible(biased_pair(), max_window=3)
+    assert (rep.verdict, rep.window) == ("unknown", None)
+    assert sorted(rep.detail) == ["lp [(0, 1)]", "lp [(0, 2)]"]
+    assert all("simplex tableau needs" in v for v in rep.detail.values())
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "84")
+    rep = refute_nonextendible(biased_pair(), max_window=3)
+    assert rep.detail == {"lp [(0, 2)]": "simplex tableau needs 15 x 24 "
+                                         "= 360 entries",
+                          "feasible_up_to": [(0, 1)]}
 
 
 def test_refute_report_serializes():

@@ -4,13 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from extlab import lattice
 from extlab.lattice import Domain
 from extlab.measures import Measure, is_locally_stationary, \
     random_stationary_measure
 from extlab.markov import MarkovExtension
 from extlab import harmonic
 
-from support import random_measure, reference_stationarity_fourier
+from support import (random_measure, reference_stationarity_fourier,
+                     seeded_overlap_measures)
 
 
 def test_character_basics():
@@ -88,6 +90,32 @@ def test_stationarity_agreement():
             assert witness
         # the same first failing (character, shift) as the direct sums
         assert reference_stationarity_fourier(mu) == (approx, witness)
+    # 2-D and scattered domains: in 2-D a positive shift such as (1, -1)
+    # has a negative component, so matching the reference's first
+    # (character, shift) tests the order of the signed shifts
+    verdicts = set()
+    for mu in seeded_overlap_measures(33, 150):
+        res = harmonic.check_stationarity_fourier(mu)
+        assert res[0] == is_locally_stationary(mu).ok
+        assert reference_stationarity_fourier(mu) == res
+        verdicts.add(res[0])
+    assert verdicts == {True, False}
+
+
+def test_stationarity_check_scans_no_translates(monkeypatch):
+    # the check reads the exact check's overlaps: no translates_inside
+    # scan and no Domain per character
+    def scan(*args):
+        raise AssertionError("translates_inside called")
+
+    def build(self, *args, **kwargs):
+        raise AssertionError("Domain built")
+    cases = seeded_overlap_measures(34, 30)
+    monkeypatch.setattr(harmonic, "translates_inside", scan)
+    monkeypatch.setattr(lattice, "translates_inside", scan)
+    monkeypatch.setattr(Domain, "__init__", build)
+    for mu in cases:
+        harmonic.check_stationarity_fourier(mu)
 
 
 def test_extension_agreement():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from extlab import engine
-from extlab.lattice import Domain
+from extlab.lattice import Domain, CapExceeded
 from extlab.lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                        FEASIBLE, INFEASIBLE, ABORTED)
 from extlab.measures import Measure, random_stationary_measure
@@ -78,6 +78,24 @@ def test_warm_start_short_circuits():
                             pivot_limit=0)
     assert res.status == FEASIBLE
     assert res.assignment["x0"] == F(1, 3)
+
+
+def test_tableau_size_is_capped(monkeypatch):
+    # x >= 0, y free (two columns), one slack: 2 rows x (4 columns +
+    # 2 artificials + rhs) = 14 entries, refused before any row is built
+    s = LinearSystem()
+    s.add_variable("x")
+    s.add_variable("y", nonneg=False)
+    s.add_eq({"x": 1, "y": 1}, 1)
+    s.add_ge({"x": 1, "y": -1}, 0)
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "13")
+    with pytest.raises(CapExceeded, match="2 x 7 = 14 entries"):
+        solve_feasibility(s)
+    # a warm start that checks needs no tableau
+    assert solve_feasibility(s, warm_start={"x": F(1), "y": F(0)}).status \
+        == FEASIBLE
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "14")
+    assert solve_feasibility(s).status == FEASIBLE
 
 
 def test_against_fourier_motzkin_oracle():
@@ -299,15 +317,17 @@ def test_simplex_results_pinned(monkeypatch):
         assert _assignment_digest(res.assignment) == digest, shape
 
     # the torus LP, read through the engine's own solve call
-    solved = []
+    systems, solved = [], []
 
-    def spy(*args, **kwargs):
-        solved.append(solve_feasibility(*args, **kwargs))
+    def spy(system, *args, **kwargs):
+        systems.append(system)
+        solved.append(solve_feasibility(system, *args, **kwargs))
         return solved[-1]
     monkeypatch.setattr(engine, "solve_feasibility", spy)
     product = Measure.product_measure([F(1, 3), F(2, 3)], Domain.box(2, 2))
     res = engine.periodic_extension(product, (3, 4))
-    assert (res.status, res.lp_digest) == (FEASIBLE, "1155e249c97226b5")
+    assert res.status == FEASIBLE
+    assert systems[0].digest() == "1155e249c97226b5"
     assert solved[0].pivots == 19
     assert _assignment_digest(solved[0].assignment) == "ff1b5eff7824c9ae"
     assert _digest(sorted((k, str(v)) for k, v in

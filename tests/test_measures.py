@@ -5,14 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 from extlab.lattice import Domain
-from extlab.measures import (Measure, WordSet, tv_distance,
+from extlab.measures import (Measure, SignedMeasure, WordSet, tv_distance,
                              convex_combine, is_locally_stationary,
                              finite_window_entropy, conditional_entropy,
                              entropy_metric, entropy_chain_refute,
                              support_word_set, random_stationary_measure)
 from extlab.corpus import disconnected_counterexample
 
-from support import random_measure, brute_force_stationary
+from support import (random_measure, brute_force_stationary,
+                     reference_locally_stationary, seeded_overlap_measures)
 
 
 def pair_measure(p00, p01, p10, p11):
@@ -74,6 +75,33 @@ def test_stationarity_matches_brute_force():
         else:
             mu = random_measure(2, Domain.interval(0, 2), rng)
         assert is_locally_stationary(mu).ok == brute_force_stationary(mu)
+
+
+def test_stationarity_matches_marginal_reference():
+    # 400 seeded measures on 1-D and 2-D domains with negative
+    # coordinates, scattered sites and sparse supports, A in {2, 3, 4}:
+    # the same verdict and the same first (V, word, k) as comparing two
+    # marginal Measures per overlap
+    verdicts = set()
+    for mu in seeded_overlap_measures(41, 400):
+        res = is_locally_stationary(mu)
+        assert (res.ok, res.witness) == reference_locally_stationary(mu), \
+            mu.to_json_dict()
+        verdicts.add(res.ok)
+    assert verdicts == {True, False}
+
+
+def test_stationarity_builds_no_measure_or_domain(monkeypatch):
+    cases = seeded_overlap_measures(42, 30)
+    built = []
+    for cls in (SignedMeasure, Domain):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+    for mu in cases:
+        is_locally_stationary(mu)
+    assert built == []
 
 
 def test_random_stationary_generator_is_stationary():
