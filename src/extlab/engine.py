@@ -22,8 +22,8 @@ from operator import itemgetter
 
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded, cell_cap,
                       add, translates_inside, verify_envelope, _overlaps)
-from .measures import (Measure, WordSet, is_locally_stationary,
-                       entropy_chain_refute, support_word_set, word_key)
+from .measures import (Measure, WordSet, _entropy_chain,
+                       is_locally_stationary, support_word_set, word_key)
 from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                  FEASIBLE, INFEASIBLE, ABORTED, DEFAULT_PIVOT_LIMIT)
 
@@ -574,7 +574,7 @@ def refute_nonextendible(mu, max_window=4, windows=None, lp_cap=None,
              for W in windows] or [1]
     detail = {}
 
-    chain = entropy_chain_refute(mu, horizon=max(sides) - 1 or 1)
+    chain = _entropy_chain(mu, horizon=max(sides) - 1 or 1)
     if chain.verdict == "refuted":
         box = Domain(D, chain.path + mu.domain.points).bounding_box()
         W = Domain.box(D, tuple(hi - lo + 1 for lo, hi in box),

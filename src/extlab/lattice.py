@@ -94,11 +94,6 @@ class Domain:
             raise ValueError("dimension mismatch")
         return Domain(self.dim, self.points + other.points)
 
-    def intersection(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Domain(self.dim, [p for p in self.points if p in other])
-
     def bounding_box(self):
         """Pairs (lo_i, hi_i) of coordinate extremes, inclusive."""
         if not self.points:

@@ -5,13 +5,14 @@ constraints, nonnegativity flags) and solved exactly over integer rows
 (see _Tableau) with Dantzig's rule, switching to Bland's rule after 30
 consecutive degenerate pivots until the objective moves again, so
 termination is guaranteed.  A pivot updates each affected row only at
-the pivot row's nonzeros.  Only the solution read out is a Fraction,
-and it is re-verified exactly against the system, also in ints: each
-constraint has one integer form (_int_row), used both by the tableau
-and by LinearSystem.check, which sums it against the point put over
-one common denominator.
-A pivot cap turns pathological instances into an explicit "aborted"
-verdict rather than a wrong answer.
+the pivot row's nonzeros, and takes a gcd only of the rows it scales.
+Only the solution read out is a Fraction, and it is re-verified exactly
+against the system, also in ints: each constraint has one integer form
+(_int_row), stored when it is added and used both by the tableau and by
+LinearSystem.check, which sums it against the point put over one common
+denominator.  Vertex enumeration runs phase 1 once and phase 2 per
+objective from a copy of its tableau.  A pivot cap turns pathological
+instances into an explicit "aborted" verdict rather than a wrong answer.
 """
 
 import hashlib
@@ -41,6 +42,8 @@ class LinearSystem:
         self.nonneg = set()
         self.equalities = []    # (coeff dict, rhs)
         self.inequalities = []  # (coeff dict, rhs), meaning row . x >= rhs
+        self._int_eqs = []      # their integer forms (_int_row), in order
+        self._int_ges = []
 
     def add_variable(self, name, nonneg=True):
         if name in self._var_index:
@@ -62,9 +65,11 @@ class LinearSystem:
 
     def add_eq(self, coeffs, rhs):
         self.equalities.append((self._clean(coeffs), Fraction(rhs)))
+        self._int_eqs.append(_int_row(*self.equalities[-1]))
 
     def add_ge(self, coeffs, rhs):
         self.inequalities.append((self._clean(coeffs), Fraction(rhs)))
+        self._int_ges.append(_int_row(*self.inequalities[-1]))
 
     def check(self, assignment):
         """Exactly verify a candidate assignment against every constraint.
@@ -82,10 +87,9 @@ class LinearSystem:
         den = math.lcm(*(x.denominator for x in values))
         X = {v: x.numerator * (den // x.denominator)
              for v, x in zip(self.variables, values)}
-        for rows, ok in ((self.equalities, operator.eq),
-                         (self.inequalities, operator.ge)):
-            for coeffs, rhs in rows:
-                _, ints, b = _int_row(coeffs, rhs)
+        for rows, ok in ((self._int_eqs, operator.eq),
+                         (self._int_ges, operator.ge)):
+            for _, ints, b in rows:
                 if not ok(sum(c * X[v] for v, c in ints.items()), b * den):
                     return False
         return True
@@ -136,30 +140,36 @@ def _nonzeros(row, n):
 
 
 def _eliminate(row, f, p, nz):
-    """row * p - f * prow over its gcd, prow given by its nonzeros nz.
+    """row * p - f * prow, prow given by its nonzeros nz.
 
-    Only the positions in nz change; the row is copied, and scaled by p
-    only when p != 1.
+    Only the positions in nz change.  With p == 1 the row is a copy and
+    keeps its scale, so no gcd is taken; otherwise it is scaled by p and
+    divided by its gcd.
     """
     out = row[:] if p == 1 else [x * p for x in row]
     for j, y in nz:
         out[j] -= f * y
-    return _reduce(out)
+    return out if p == 1 else _reduce(out)
 
 
 class _Tableau:
     """Simplex tableau over int rows; Dantzig's rule, Bland on stalls.
 
     Row i is a list of ints, rhs last, standing for itself divided by
-    rows[i][basis[i]] > 0.  A fraction-free pivot turns each row with a
-    nonzero f in the pivot column into row*p - f*prow over its gcd.
+    rows[i][basis[i]] > 0.  A fraction-free pivot divides the pivot row
+    by its gcd, p its entry in the pivot column, and turns each row with
+    a nonzero f there into row*p - f*prow, over its gcd only if p != 1
+    (with p == 1 the row's scale, its basic entry, does not change).
     The update is sparse: the pivot row's nonzeros are listed once, and
     only those positions of an affected row are touched (window
     polytope pivot rows are 4-25% nonzero, and p is often 1, so most
     rows are a plain copy plus a few subtractions).  Reduced costs are
-    an int row up to a positive scale, updated the same way, and the
-    ratio test cross-multiplies, so every choice is the rational
-    tableau's.
+    an int row up to a positive scale, updated the same way.  No choice
+    reads a positive row scale: Dantzig's rule compares entries of one
+    row, the ratio test cross-multiplies, and Bland's rule, the phase-1
+    verdict and the drive-out read signs, so every choice is the
+    rational tableau's.  Pivots replace rows and never edit one in
+    place, so copy() may share them.
     """
 
     def __init__(self, rows, ncols, basis):
@@ -168,11 +178,17 @@ class _Tableau:
         self.basis = basis
         self.pivots = 0
 
+    def copy(self):
+        """A tableau with the same rows, basis and pivot count."""
+        tab = _Tableau(self.rows[:], self.ncols, self.basis[:])
+        tab.pivots = self.pivots
+        return tab
+
     def pivot(self, r, c):
         """Pivot on (r, c); returns the pivot row's nonzeros."""
         prow = self.rows[r]
-        if prow[c] < 0:
-            prow = self.rows[r] = [-x for x in prow]
+        prow = self.rows[r] = _reduce([-x for x in prow] if prow[c] < 0
+                                      else prow)
         p = prow[c]
         nz = _nonzeros(prow, len(prow))
         for i, other in enumerate(self.rows):
@@ -248,11 +264,10 @@ def _standard_form(system):
             cols[v] = (ncols, ncols + 1)
             ncols += 2
     neq = len(system.equalities)
-    constraints = system.equalities + system.inequalities
+    constraints = system._int_eqs + system._int_ges
     width = ncols + len(system.inequalities)
     rows = []
-    for k, (coeffs, b) in enumerate(constraints):
-        scale, ints, rhs = _int_row(coeffs, b)
+    for k, (scale, ints, rhs) in enumerate(constraints):
         sign = -1 if rhs < 0 else 1
         row = [0] * (width + len(constraints) + 1)
         for v, c in ints.items():
@@ -268,6 +283,65 @@ def _standard_form(system):
     return rows, cols, width
 
 
+def _phase1(system, pivot_limit):
+    """Standard form, artificial phase and drive-out: returns (status,
+    tableau, colmap), on FEASIBLE a feasible basis over the original and
+    slack columns, redundant rows dropped."""
+    # rows x (columns, free variables split, + slacks + artificials + rhs)
+    m = len(system.equalities) + len(system.inequalities)
+    width = (2 * len(system.variables) - len(system.nonneg)
+             + len(system.inequalities))
+    if m * (width + m + 1) > cell_cap():
+        raise CapExceeded(f"simplex tableau needs {m} x {width + m + 1} "
+                          f"= {m * (width + m + 1)} entries")
+    rows, cols, width = _standard_form(system)
+    tab = _Tableau(rows, width + m, list(range(width, width + m)))
+    if tab.maximize([0] * width + [-1] * m, pivot_limit) == "aborted":
+        return ABORTED, tab, cols
+    if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= width):
+        return INFEASIBLE, tab, cols
+    # drive leftover artificials out of the basis (or drop redundant rows)
+    for i in range(m):
+        if tab.basis[i] >= width:
+            c = next((j for j in range(width) if tab.rows[i][j] != 0), None)
+            if c is not None:
+                tab.pivot(i, c)
+    keep = [i for i in range(m) if tab.basis[i] < width]
+    tab.rows = [tab.rows[i][:width] + tab.rows[i][-1:] for i in keep]
+    tab.basis = [tab.basis[i] for i in keep]
+    tab.ncols = width
+    return FEASIBLE, tab, cols
+
+
+def _phase2(system, tab, cols, objective, pivot_limit):
+    """Maximize a rational objective (if any) from phase 1's basis in
+    tab, then read the point out and check it against the system."""
+    if objective is not None:
+        cost = [Fraction(0)] * tab.ncols
+        for v, c in objective.items():
+            plus, minus = cols[v]
+            cost[plus] += Fraction(c)
+            if minus is not None:
+                cost[minus] -= Fraction(c)
+        scale = math.lcm(*(c.denominator for c in cost))
+        # "unbounded" is feasible with no optimum: keep the current point
+        if tab.maximize([int(c * scale) for c in cost],
+                        pivot_limit) == "aborted":
+            return FeasibilityResult(ABORTED, pivots=tab.pivots)
+
+    Z = Fraction(0)
+    values = [Z] * tab.ncols
+    for row, b in zip(tab.rows, tab.basis):
+        values[b] = Fraction(row[-1], row[b])
+    assignment = {}
+    for v, (plus, minus) in cols.items():
+        assignment[v] = values[plus] - (values[minus] if minus is not None
+                                        else Z)
+    if not system.check(assignment):
+        raise AssertionError("simplex produced an invalid feasible point")
+    return FeasibilityResult(FEASIBLE, assignment, tab.pivots)
+
+
 def solve_feasibility(system, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT,
                       warm_start=None):
     """Find a feasible point, optionally maximizing a rational objective.
@@ -281,57 +355,10 @@ def solve_feasibility(system, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT,
     if warm_start is not None and objective is None \
             and system.check(warm_start):
         return FeasibilityResult(FEASIBLE, dict(warm_start))
-    # rows x (columns, free variables split, + slacks + artificials + rhs)
-    m = len(system.equalities) + len(system.inequalities)
-    width = (2 * len(system.variables) - len(system.nonneg)
-             + len(system.inequalities))
-    if m * (width + m + 1) > cell_cap():
-        raise CapExceeded(f"simplex tableau needs {m} x {width + m + 1} "
-                          f"= {m * (width + m + 1)} entries")
-    rows, cols, width = _standard_form(system)
-    m = len(rows)
-    # phase 1: artificial basis
-    tab = _Tableau(rows, width + m, list(range(width, width + m)))
-    status = tab.maximize([0] * width + [-1] * m, pivot_limit)
-    if status == "aborted":
-        return FeasibilityResult(ABORTED, pivots=tab.pivots)
-    if any(row[-1] for row, b in zip(tab.rows, tab.basis) if b >= width):
-        return FeasibilityResult(INFEASIBLE, pivots=tab.pivots)
-    # drive leftover artificials out of the basis (or drop redundant rows)
-    for i in range(m):
-        if tab.basis[i] >= width:
-            c = next((j for j in range(width) if tab.rows[i][j] != 0), None)
-            if c is not None:
-                tab.pivot(i, c)
-    keep = [i for i in range(m) if tab.basis[i] < width]
-    tab.rows = [tab.rows[i][:width] + tab.rows[i][-1:] for i in keep]
-    tab.basis = [tab.basis[i] for i in keep]
-    tab.ncols = width
-
-    if objective is not None:
-        cost = [Fraction(0)] * width
-        for v, c in objective.items():
-            plus, minus = cols[v]
-            cost[plus] += Fraction(c)
-            if minus is not None:
-                cost[minus] -= Fraction(c)
-        scale = math.lcm(*(c.denominator for c in cost))
-        # "unbounded" is feasible with no optimum: keep the current point
-        if tab.maximize([int(c * scale) for c in cost],
-                        pivot_limit) == "aborted":
-            return FeasibilityResult(ABORTED, pivots=tab.pivots)
-
-    Z = Fraction(0)
-    values = [Z] * width
-    for row, b in zip(tab.rows, tab.basis):
-        values[b] = Fraction(row[-1], row[b])
-    assignment = {}
-    for v, (plus, minus) in cols.items():
-        assignment[v] = values[plus] - (values[minus] if minus is not None
-                                        else Z)
-    if not system.check(assignment):
-        raise AssertionError("simplex produced an invalid feasible point")
-    return FeasibilityResult(FEASIBLE, assignment, tab.pivots)
+    status, tab, cols = _phase1(system, pivot_limit)
+    if status != FEASIBLE:
+        return FeasibilityResult(status, pivots=tab.pivots)
+    return _phase2(system, tab, cols, objective, pivot_limit)
 
 
 def enumerate_vertices(system, max_count=50, seed=0, tries=None,
@@ -341,10 +368,17 @@ def enumerate_vertices(system, max_count=50, seed=0, tries=None,
     Deterministic for a fixed seed.  For a bounded polytope every vertex
     is the unique optimum of some objective, so with enough tries this
     finds them all; no completeness is promised for a fixed try budget.
+    Phase 1 runs once; each try runs phase 2 on a copy of its tableau,
+    phase 1's pivots counted, exactly as solve_feasibility would.
     """
     rng = random.Random(seed)
     if tries is None:
         tries = 8 * max_count
+    if min(tries, max_count) <= 0:
+        return []
+    status, tab, cols = _phase1(system, pivot_limit)
+    if status != FEASIBLE:
+        return []
     vertices = []
     seen = set()
     for _ in range(tries):
@@ -352,9 +386,7 @@ def enumerate_vertices(system, max_count=50, seed=0, tries=None,
             break
         objective = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                      for v in system.variables}
-        res = solve_feasibility(system, objective, pivot_limit)
-        if res.status == INFEASIBLE:
-            return []
+        res = _phase2(system, tab.copy(), cols, objective, pivot_limit)
         if res.status != FEASIBLE:
             continue
         key = tuple(res.assignment[v] for v in system.variables)

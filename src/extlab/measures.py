@@ -287,6 +287,11 @@ def entropy_chain_refute(mu, horizon=4):
     if not res.ok:
         raise ValueError("entropy_chain_refute requires a locally "
                          f"stationary input; witness {res.witness}")
+    return _entropy_chain(mu, horizon)
+
+
+def _entropy_chain(mu, horizon):
+    """entropy_chain_refute on a measure known to be locally stationary."""
     U = mu.domain
     # forced bijections per difference vector
     sigma = {}

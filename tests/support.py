@@ -5,13 +5,15 @@ separate from the library's own algorithms, so the two can disagree.
 """
 
 import itertools
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
 
 from extlab import harmonic
 from extlab.lattice import Domain, EnvelopeCheck, add, translates_inside
-from extlab.lp import LinearSystem
+from extlab.lp import (DEFAULT_PIVOT_LIMIT, FEASIBLE, INFEASIBLE,
+                       LinearSystem, solve_feasibility)
 from extlab.measures import Measure
 
 
@@ -343,7 +345,7 @@ def reference_locally_stationary(mu):
     shifts = {tuple(b - a for a, b in zip(p, q))
               for p in U.points for q in U.points}
     for k in sorted(d for d in shifts if d > zero):
-        V = U.intersection(U.shift(tuple(-c for c in k)))
+        V = Domain(U.dim, [p for p in U.points if add(p, k) in U])
         left, right = mu.marginal(V), mu.marginal(V.shift(k))
         for b in sorted(set(left.masses) | set(right.masses)):
             if left[b] != right[b]:
@@ -392,6 +394,41 @@ def reference_check(system, assignment):
             if not holds(total, rhs):
                 return False
     return True
+
+
+def reference_eliminate(row, f, p, nz):
+    """The always-reduce row update: row * p - f * prow over its gcd,
+    whatever p is."""
+    out = [x * p for x in row]
+    for j, y in nz:
+        out[j] -= f * y
+    g = math.gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def reference_vertices(system, max_count=50, seed=0, tries=None,
+                       pivot_limit=DEFAULT_PIVOT_LIMIT):
+    """enumerate_vertices by one whole solve_feasibility, phase 1
+    included, per try, drawing the same objectives."""
+    rng = random.Random(seed)
+    if tries is None:
+        tries = 8 * max_count
+    vertices, seen = [], set()
+    for _ in range(tries):
+        if len(vertices) >= max_count:
+            break
+        objective = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for v in system.variables}
+        res = solve_feasibility(system, objective, pivot_limit)
+        if res.status == INFEASIBLE:
+            return []
+        if res.status != FEASIBLE:
+            continue
+        key = tuple(res.assignment[v] for v in system.variables)
+        if key not in seen:
+            seen.add(key)
+            vertices.append(res.assignment)
+    return vertices
 
 
 def reference_stationarity_fourier(mu, tol=1e-9):

@@ -15,7 +15,7 @@ from extlab.engine import (build_window_polytope, sft_emptiness, fill_window,
                            compute_H, epsilon_bound, refute_nonextendible,
                            SearchBudget)
 from extlab.lp import FEASIBLE, INFEASIBLE, ABORTED, solve_feasibility
-from extlab import engine, harmonic
+from extlab import engine, harmonic, measures
 from extlab.corpus import (disconnected_counterexample, pseudolattice_measure,
                            binary_counter_measure, binary_counter_support)
 
@@ -510,6 +510,21 @@ def test_refute_disconnected_by_chain():
     assert rep.verdict == "refuted"
     assert rep.method == "entropy-chain"
     assert rep.window.points == ((0,), (1,), (2,), (3,))
+
+
+def test_refute_checks_local_stationarity_once(monkeypatch):
+    # the chain stage reuses the refute's own check instead of repeating
+    # it inside entropy_chain_refute
+    calls = []
+
+    def spy(mu):
+        calls.append(mu)
+        return is_locally_stationary(mu)
+    monkeypatch.setattr(engine, "is_locally_stationary", spy)
+    monkeypatch.setattr(measures, "is_locally_stationary", spy)
+    rep = refute_nonextendible(disconnected_counterexample(), max_window=4)
+    assert (rep.verdict, rep.method) == ("refuted", "entropy-chain")
+    assert len(calls) == 1
 
 
 def test_refute_disconnected_by_lp_alone():

@@ -4,13 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from extlab import engine
+from extlab import engine, lp
 from extlab.lattice import Domain, CapExceeded
 from extlab.lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                        FEASIBLE, INFEASIBLE, ABORTED)
 from extlab.measures import Measure, random_stationary_measure
 
-from support import fm_feasible, reference_check, system_to_ineqs
+from support import (fm_feasible, reference_check, reference_eliminate,
+                     reference_vertices, system_to_ineqs)
 
 
 def simple_system(rows, rhs, nvars, nonneg=True):
@@ -347,3 +348,74 @@ def test_simplex_results_pinned(monkeypatch):
         assert len(vs) == count, seed
         assert _digest([sorted((v, str(x)) for v, x in a.items())
                         for a in vs]) == digest, seed
+
+
+# ---------------------------------------------------------------------------
+# the kernel against its reference forms
+
+
+def window_lp_systems():
+    """The six polytope shapes the window-lp benchmark solves."""
+    a2 = random_stationary_measure(2, 2, random.Random(1))
+    a3 = random_stationary_measure(3, 2, random.Random(1))
+    uniform = Measure.uniform(Domain.box(2, 2), 2)
+    return [engine.build_window_polytope(mu, W).system for mu, W in (
+        (a2, Domain.interval(0, 6)), (a2, Domain.interval(0, 7)),
+        (a3, Domain.interval(0, 4)), (uniform, Domain.box(2, (2, 3))),
+        (uniform, Domain.box(2, (3, 2))), (uniform, Domain.box(2, (2, 4))))]
+
+
+def test_unit_pivots_match_the_always_reduce_update(monkeypatch):
+    # a row updated with p == 1 skips the gcd; the old update, which
+    # reduces every row, makes the same pivots and reads the same points
+    cases = [seeded_rational_system(seed) for seed in range(2000)]
+    cases += [(system, None) for system in window_lp_systems()]
+
+    def outcomes():
+        return [(res.status, res.pivots, res.assignment) for res in
+                (solve_feasibility(s, objective) for s, objective in cases)]
+    got = outcomes()
+    monkeypatch.setattr(lp, "_eliminate", reference_eliminate)
+    assert outcomes() == got
+    statuses = [status for status, _, _ in got]
+    assert statuses.count(FEASIBLE) > 500 and statuses.count(INFEASIBLE) > 500
+
+
+def test_vertices_match_one_solve_per_try():
+    # phase 1 runs once and each try runs phase 2 on a copy of its
+    # tableau; a whole solve per try finds the same vertices in the same
+    # order, also when the pivot cap stops phase 1 or some phase 2s
+    kinds = {"infeasible": 0, "phase 1 aborted": 0, "phase 2 aborted": 0,
+             "free": 0, ">=": 0}
+    for seed in range(120):
+        system, _ = seeded_rational_system(seed)
+        full = enumerate_vertices(system, max_count=4, seed=seed)
+        assert full == reference_vertices(system, max_count=4, seed=seed)
+        kinds["infeasible"] += solve_feasibility(system).status == INFEASIBLE
+        kinds["free"] += bool(full) and len(system.nonneg) < len(
+            system.variables)
+        kinds[">="] += bool(full) and bool(system.inequalities)
+        for limit in (0, 2, 4, 6):
+            got = enumerate_vertices(system, 4, seed, pivot_limit=limit)
+            assert got == reference_vertices(system, 4, seed,
+                                             pivot_limit=limit), (seed, limit)
+            phase1 = solve_feasibility(system, pivot_limit=limit).status
+            kinds["phase 1 aborted"] += phase1 == ABORTED
+            kinds["phase 2 aborted"] += phase1 == FEASIBLE and got != full
+    assert min(kinds.values()) > 10, kinds
+
+
+def test_vertex_enumeration_runs_phase_one_once(monkeypatch):
+    calls = []
+    phase1 = lp._phase1
+
+    def spy(*args):
+        calls.append(args)
+        return phase1(*args)
+    monkeypatch.setattr(lp, "_phase1", spy)
+    mu = random_stationary_measure(2, 2, random.Random(3))
+    polytope = engine.build_window_polytope(mu, Domain.interval(0, 3))
+    assert len(polytope.vertices(max_count=12, seed=5)) > 1
+    assert len(calls) == 1
+    assert enumerate_vertices(polytope.system, max_count=0) == []
+    assert len(calls) == 1
