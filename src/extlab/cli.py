@@ -127,7 +127,8 @@ def cmd_fourier(args):
     ok, witness = harmonic.check_stationarity_fourier(mu)
     table = {}
     for chi, c in coeffs.items():
-        key = ";".join(f"{word_key(p)}:{e}" for p, e in chi.exponents) or "1"
+        key = ";".join(f"{word_key(p)}:{e}" for p, e
+                       in zip(mu.domain.points, chi) if e) or "1"
         table[key] = [c.real, c.imag]
     _emit({"coefficients": table,
            "parseval_residual": harmonic.parseval_residual(mu),

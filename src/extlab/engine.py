@@ -249,8 +249,8 @@ def fill_window(T, W, node_cap=10 ** 7):
     return dict(zip(W.points, found))
 
 
-def default_window_schedule(dim, max_side, min_side=1):
-    return [Domain.box(dim, n) for n in range(min_side, max_side + 1)]
+def default_window_schedule(dim, max_side):
+    return [Domain.box(dim, n) for n in range(1, max_side + 1)]
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Fourier analysis on finite symbol windows, as a floating cross-check.
 
-Characters of the product group (Z/A)^W are exponent maps on the window
-sites.  All arithmetic here is complex floating point; exact decisions
-stay with the rational modules, and these routines exist to confirm
-them independently within small tolerances.
+A character chi(b) = omega^(sum_p e_p b_p), omega = e^(2 pi i / A), of
+(Z/A)^W is an exponent word: exponents aligned with `domain.points`,
+like a word of a Measure.  All arithmetic here is complex floating
+point; exact decisions stay with the rational modules, and these
+routines exist to confirm them independently within small tolerances.
 
-A coefficient table lists the characters in `all_characters` order:
-exponent vectors as mixed-radix numbers, first site most significant,
-the same order as the words of the window.  It comes from one
-length-A DFT along each site in turn (Cooley-Tukey on (Z/A)^W), which
-costs |W| * A^(|W|+1) operations instead of the A^|W| * |support| of
-summing every coefficient directly.  The stationarity check builds
-one table and reads every coefficient and shifted coefficient from it;
+A coefficient table lists the characters in `all_characters` order,
+which is the word order of the window: exponent words as mixed-radix
+numbers, first site most significant.  It comes from one length-A DFT
+along each site in turn (Cooley-Tukey on (Z/A)^W), which costs
+|W| * A^(|W|+1) operations instead of the A^|W| * |support| of summing
+every coefficient directly.  The stationarity check builds one table
+and reads every coefficient and shifted coefficient from it;
 `fourier_coeff`, the direct sum, serves single coefficients of large
 windows and is the reference the table is tested against.
 """
@@ -19,51 +20,27 @@ windows and is the reference the table is tested against.
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 
 from .lattice import (CapExceeded, cell_cap, add, translates_inside,
                       _overlaps)
 
 
-@dataclass(frozen=True)
-class Character:
-    """A character chi(b) = prod_p omega^(e_p * b_p), omega = e^(2 pi i / A)."""
-
-    alphabet: int
-    exponents: tuple   # sorted ((point, e), ...) with e nonzero
-
-    @classmethod
-    def make(cls, alphabet, exponents):
-        items = tuple(sorted((tuple(p), e % alphabet)
-                             for p, e in dict(exponents).items()
-                             if e % alphabet))
-        return cls(alphabet, items)
-
-    @property
-    def support(self):
-        return tuple(p for p, _ in self.exponents)
-
-    def shift(self, k):
-        return Character.make(self.alphabet,
-                              [(add(p, k), e) for p, e in self.exponents])
-
-    def evaluate(self, word, domain):
-        """chi at a word given in the domain's canonical site order."""
-        phase = 0
-        for p, e in self.exponents:
-            phase += e * word[domain.index(p)]
-        return cmath.exp(2j * math.pi * (phase % self.alphabet)
-                         / self.alphabet)
-
-
 def all_characters(domain, alphabet):
+    """The exponent words of the window, in itertools.product order."""
     count = alphabet ** len(domain)
     if count > cell_cap():
         raise CapExceeded(f"character group has {count} elements")
-    out = []
-    for exps in itertools.product(range(alphabet), repeat=len(domain)):
-        out.append(Character.make(alphabet, zip(domain.points, exps)))
-    return out
+    return list(itertools.product(range(alphabet), repeat=len(domain)))
+
+
+def _place(chi, move, size):
+    """The exponent word of length `size` that carries each nonzero
+    exponent of chi from position i to position move[i]."""
+    out = [0] * size
+    for i, e in enumerate(chi):
+        if e:
+            out[move[i]] = e
+    return tuple(out)
 
 
 def _site_dft(values, alphabet, sites, sign):
@@ -94,14 +71,19 @@ def _site_dft(values, alphabet, sites, sign):
 
 def fourier_coeff(mu, chi):
     """mu^(chi) = sum_b mu[b] conj(chi(b)), summed over the support."""
+    if len(chi) != len(mu.domain):
+        raise ValueError("a character is not a word of the window")
+    A = mu.alphabet
+    conj = [cmath.exp(2j * math.pi * r / A).conjugate() for r in range(A)]
+    support = [(i, e) for i, e in enumerate(chi) if e]
     total = 0j
     for word, mass in mu.masses.items():
-        total += float(mass) * chi.evaluate(word, mu.domain).conjugate()
+        total += float(mass) * conj[sum(e * word[i] for i, e in support) % A]
     return total
 
 
 def fourier_transform(mu):
-    """All coefficients, keyed by Character in `all_characters` order."""
+    """All coefficients, keyed by exponent word in `all_characters` order."""
     A = mu.alphabet
     characters = all_characters(mu.domain, A)
     values = [0j] * len(characters)
@@ -118,17 +100,16 @@ def inverse_transform(coeffs, domain, alphabet):
 
     The normalization 1/A^|W| makes this the exact inverse of
     fourier_transform (round-trip error at floating precision only).
-    Missing characters count as zero; a key that is not a character of
-    the window raises ValueError.
+    Missing characters count as zero; a key that is not a word of the
+    window (wrong length, or an exponent outside range(alphabet)) raises
+    ValueError.
     """
-    characters = all_characters(domain, alphabet)
-    if coeffs.keys() - set(characters):
-        raise ValueError("a coefficient key is not a character of the window")
-    values = [coeffs.get(chi, 0j) for chi in characters]
-    n = len(values)
-    words = itertools.product(range(alphabet), repeat=len(domain))
+    words = all_characters(domain, alphabet)
+    if coeffs.keys() - set(words):
+        raise ValueError("a coefficient key is not a word of the window")
+    values = [coeffs.get(chi, 0j) for chi in words]
     masses = _site_dft(values, alphabet, len(domain), 1)
-    return {word: v / n for word, v in zip(words, masses)}
+    return {word: v / len(words) for word, v in zip(words, masses)}
 
 
 def parseval_residual(mu):
@@ -141,31 +122,26 @@ def parseval_residual(mu):
 def check_stationarity_fourier(mu, tol=1e-9):
     """Local stationarity via coefficient agreement along translates.
 
-    For each character supported in the window and each lattice shift
-    keeping the support inside, the two coefficients must agree; this
-    mirrors the exact marginal-overlap criterion.  A support S moves by
-    k inside the window exactly when S lies in the overlap V of shift k
-    (and by -k when it lies in V + k), so the overlaps of the exact
-    check list every shift once, sorted, with the sites it may move.
-    Both coefficients are read from one table: a shifted character is
-    supported in the window, so it is a key of it.  Returns (ok, witness).
+    For each character and each lattice shift keeping its nonzero
+    positions inside the window, the two coefficients must agree; this
+    mirrors the exact marginal-overlap criterion.  A character moves by
+    k when those positions lie in the overlap's `left` positions (to
+    `right`), and by -k when they lie in `right`.  Both coefficients are
+    read from one table.  Returns (ok, witness) with witness (chi, k).
     """
     coeffs = fourier_transform(mu)
-    points = mu.domain.points
     shifts = []
-    for V, k, _, right in _overlaps(mu.domain):
-        shifts.append((k, frozenset(V)))
-        shifts.append((tuple(-c for c in k),
-                       frozenset(points[i] for i in right)))
-    shifts.sort()
+    for _, k, left, right in _overlaps(mu.domain):
+        shifts.append((k, dict(zip(left, right))))
+        shifts.append((tuple(-c for c in k), dict(zip(right, left))))
+    shifts.sort(key=lambda shift: shift[0])
     for chi, base in coeffs.items():
-        if not chi.exponents:
+        support = {i for i, e in enumerate(chi) if e}
+        if not support:
             continue
-        support = chi.support
-        for k, sites in shifts:
-            if sites.issuperset(support):
-                shifted = coeffs[chi.shift(k)]
-                if abs(base - shifted) > tol:
+        for k, move in shifts:
+            if support <= move.keys():
+                if abs(base - coeffs[_place(chi, move, len(chi))]) > tol:
                     return False, (chi, k)
     return True, ()
 
@@ -173,16 +149,20 @@ def check_stationarity_fourier(mu, tol=1e-9):
 def check_extension_fourier(base, ext, tol=1e-9):
     """Marginal agreement of ext with base on every translate, in frequency.
 
-    For each character of the base window and each translate of the base
-    domain inside the extension window, the extension's coefficient at
-    the shifted character must match the base coefficient.
+    For each character of the base window U and each translate U + t
+    inside the extension window, the extension's coefficient at the
+    character placed on the positions of U + t must match the base
+    coefficient.  Returns (ok, witness) with witness (chi, t).
     """
     if base.alphabet != ext.alphabet:
         raise ValueError("alphabet mismatch")
-    for chi in all_characters(base.domain, base.alphabet):
+    U, W = base.domain, ext.domain
+    places = [(t, [W.index(add(p, t)) for p in U.points])
+              for t in translates_inside(U, W)]
+    for chi in all_characters(U, base.alphabet):
         want = fourier_coeff(base, chi)
-        for t in translates_inside(base.domain, ext.domain):
-            got = fourier_coeff(ext, chi.shift(t))
+        for t, move in places:
+            got = fourier_coeff(ext, _place(chi, move, len(W)))
             if abs(want - got) > tol:
                 return False, (chi, t)
     return True, ()

@@ -21,8 +21,9 @@ class MarkovExtension:
         if base.domain.dim != 1:
             raise ValueError("Markov extension requires a 1-D base")
         pts = [p[0] for p in base.domain.points]
-        if pts != list(range(pts[0], pts[0] + len(pts))):
-            raise ValueError("base domain must be a contiguous interval")
+        if not pts or pts != list(range(pts[0], pts[0] + len(pts))):
+            raise ValueError("base domain must be a nonempty contiguous "
+                             "interval")
         res = is_locally_stationary(base)
         if not res.ok:
             raise ValueError("base measure is not locally stationary; "

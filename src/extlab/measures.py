@@ -295,9 +295,10 @@ def _entropy_chain(mu, horizon):
     U = mu.domain
     # forced bijections per difference vector
     sigma = {}
+    joints = {}
     for i, u in enumerate(U.points):
         for w in U.points[i + 1:]:
-            joint = mu.marginal(Domain(U.dim, [u, w]))
+            joint = joints[u, w] = mu.marginal(Domain(U.dim, [u, w]))
             f = _deterministic_map(joint)
             if f is not None:
                 d = sub(w, u)
@@ -352,8 +353,7 @@ def _entropy_chain(mu, horizon):
                     break
             if not ok:
                 continue
-            joint = mu.marginal(Domain(U.dim, [u, w]))
-            for (a, b) in joint.masses:
+            for (a, b) in joints[u, w].masses:
                 if comp.get(a) != b:
                     return ChainResult("refuted", (u, w), tuple(path))
     return ChainResult("unknown", (), ())

@@ -332,6 +332,36 @@ def seeded_overlap_measures(seed, count):
     return out
 
 
+def seeded_extension_pairs(seed, count):
+    """(base, ext) pairs: ext a periodic stationary measure on a window,
+    base its marginal on a pattern with translates inside; in turn kept,
+    with the symbols at one random site of ext cycled, which moves only
+    the translates holding that site, or with ext after a pair swap."""
+    shapes = [(Domain.interval(0, 1), Domain.interval(0, 3), (3,)),
+              (Domain(1, [(0,), (2,)]), Domain.interval(-1, 3), (2,)),
+              (Domain.interval(0, 2), Domain(1, [(0,), (1,), (2,), (4,),
+                                                 (5,), (6,)]), (3,)),
+              (Domain(2, [(0, 0), (1, 0), (0, 1)]), Domain.box(2, 3), (2, 2)),
+              (Domain(2, [(0, 0), (1, 1)]), Domain.box(2, (3, 2)), (2, 2))]
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        U, W, periods = rng.choice(shapes)
+        A = rng.choice([2, 3]) if len(periods) == 1 else 2
+        cells = A ** math.prod(periods)
+        ext = random_periodic_base(W, A, periods, rng,
+                                   count=rng.randint(1, min(12, cells)))
+        base = ext.marginal(U)
+        if t % 3 == 1:
+            i = rng.randrange(len(W))
+            ext = Measure(W, A, {w[:i] + ((w[i] + 1) % A,) + w[i + 1:]: m
+                                 for w, m in ext.masses.items()})
+        elif t % 3 == 2:
+            ext = _pair_swap(ext, rng)
+        out.append((base, ext))
+    return out
+
+
 def reference_locally_stationary(mu):
     """is_locally_stationary by two marginal Measures per maximal overlap.
 
@@ -431,16 +461,39 @@ def reference_vertices(system, max_count=50, seed=0, tries=None,
     return vertices
 
 
+def _shifted_word(chi, domain, k, target):
+    """The exponent word on `target` with chi's exponent at point p
+    moved to p + k, by point arithmetic."""
+    moved = {add(p, k): e for p, e in zip(domain.points, chi) if e}
+    return tuple(moved.get(p, 0) for p in target.points)
+
+
 def reference_stationarity_fourier(mu, tol=1e-9):
     """check_stationarity_fourier by one direct fourier_coeff sum per
-    character and per shifted character, in all_characters order."""
+    character and per shifted character, exponent words in
+    itertools.product order, shifts from translates_inside."""
     W = mu.domain
-    for chi in harmonic.all_characters(W, mu.alphabet):
-        if not chi.exponents:
+    for chi in itertools.product(range(mu.alphabet), repeat=len(W)):
+        support = [p for p, e in zip(W.points, chi) if e]
+        if not support:
             continue
         base = harmonic.fourier_coeff(mu, chi)
-        for k in translates_inside(Domain(W.dim, chi.support), W):
+        for k in translates_inside(Domain(W.dim, support), W):
             if any(k) and abs(base - harmonic.fourier_coeff(
-                    mu, chi.shift(k))) > tol:
+                    mu, _shifted_word(chi, W, k, W))) > tol:
                 return False, (chi, k)
+    return True, ()
+
+
+def reference_extension_fourier(base, ext, tol=1e-9):
+    """check_extension_fourier by direct sums: the first (chi, t), chi
+    in itertools.product order, whose coefficient on base differs from
+    that of chi moved by t on ext."""
+    U, W = base.domain, ext.domain
+    for chi in itertools.product(range(base.alphabet), repeat=len(U)):
+        want = harmonic.fourier_coeff(base, chi)
+        for t in translates_inside(U, W):
+            got = harmonic.fourier_coeff(ext, _shifted_word(chi, U, t, W))
+            if abs(want - got) > tol:
+                return False, (chi, t)
     return True, ()

@@ -10,7 +10,7 @@ from extlab import cli, corpus, engine, harmonic
 from extlab.cli import main
 from extlab.lattice import Domain, FiniteModule
 from extlab.markov import MarkovExtension
-from extlab.measures import Measure, WordSet, parse_word_key
+from extlab.measures import Measure, WordSet, parse_word_key, word_key
 from extlab.corpus import (disconnected_counterexample, binary_counter_measure,
                            eca_rule, ca_to_sft)
 
@@ -75,6 +75,14 @@ def test_markov_builds_the_window_once(write_json, capsys, monkeypatch):
     assert calls == [5]
     data = json.loads(out)
     assert abs(data["entropy_rate"] - 0.8112781244591329) < 1e-12
+
+
+def test_markov_on_an_empty_domain_is_an_input_error(write_json, capsys):
+    # a valid measure, but no interval to extend: exit 2, not a crash
+    path = write_json("empty.json", {"dim": 1, "alphabet": 2, "domain": [],
+                                     "masses": {"": "1"}})
+    assert main(["markov", path, "--window", "3"]) == 2
+    assert "nonempty contiguous interval" in capsys.readouterr().err
 
 
 def test_periodic_exit_codes(write_json, capsys):
@@ -173,6 +181,39 @@ def test_fourier(write_json, capsys):
     assert data["stationary"] is True
     assert abs(data["coefficients"]["1"][0] - 1) < 1e-12
     assert data["parseval_residual"] < 1e-9
+
+
+def test_fourier_keys_are_pinned(write_json, capsys):
+    # a key lists the nonzero exponents as "point:exponent" in the
+    # window's point order, "1" for the trivial character
+    cases = [
+        (disconnected_counterexample(),
+         ["0:1", "0:1;1:1", "0:1;1:1;3:1", "0:1;3:1", "1", "1:1", "1:1;3:1",
+          "3:1"]),
+        (Measure(Domain.box(2, 2), 2, {(0, 0, 0, 0): F(1, 2),
+                                       (0, 1, 1, 0): F(1, 4),
+                                       (1, 1, 1, 1): F(1, 4)}),
+         ["0,0:1", "0,0:1;0,1:1", "0,0:1;0,1:1;1,0:1",
+          "0,0:1;0,1:1;1,0:1;1,1:1", "0,0:1;0,1:1;1,1:1", "0,0:1;1,0:1",
+          "0,0:1;1,0:1;1,1:1", "0,0:1;1,1:1", "0,1:1", "0,1:1;1,0:1",
+          "0,1:1;1,0:1;1,1:1", "0,1:1;1,1:1", "1", "1,0:1", "1,0:1;1,1:1",
+          "1,1:1"]),
+        (Measure(Domain.interval(-1, 0), 3, {(0, 0): F(1, 2), (1, 2): F(1, 3),
+                                             (2, 2): F(1, 6)}),
+         ["-1:1", "-1:1;0:1", "-1:1;0:2", "-1:2", "-1:2;0:1", "-1:2;0:2",
+          "0:1", "0:2", "1"]),
+    ]
+    for mu, keys in cases:
+        path = write_json("mu.json", mu.to_json_dict())
+        code, out = run(capsys, ["fourier", path])
+        assert code in (0, 1)
+        table = json.loads(out)["coefficients"]
+        assert sorted(table) == keys
+        for chi in harmonic.all_characters(mu.domain, mu.alphabet):
+            key = ";".join(f"{word_key(p)}:{e}" for p, e
+                           in zip(mu.domain.points, chi) if e) or "1"
+            want = harmonic.fourier_coeff(mu, chi)
+            assert abs(complex(*table[key]) - want) < 1e-12
 
 
 def test_fourier_sums_no_coefficient_directly(write_json, capsys,

@@ -527,6 +527,21 @@ def test_refute_checks_local_stationarity_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_refute_takes_each_joint_marginal_once(monkeypatch):
+    # the chain stage keeps the joint of each of the 3 site pairs from
+    # its first loop instead of summing it again for the pair check
+    calls = []
+    marginal = measures.SignedMeasure.marginal
+
+    def spy(self, V):
+        calls.append(V.points)
+        return marginal(self, V)
+    monkeypatch.setattr(measures.SignedMeasure, "marginal", spy)
+    rep = refute_nonextendible(disconnected_counterexample(), max_window=4)
+    assert (rep.verdict, rep.method) == ("refuted", "entropy-chain")
+    assert len(calls) == 3
+
+
 def test_refute_disconnected_by_lp_alone():
     # with the support full-shift trick unavailable, the LP still refutes:
     # use a non-uniform rho so the chain sees the same structure; here we

@@ -11,23 +11,16 @@ from extlab.measures import Measure, is_locally_stationary, \
 from extlab.markov import MarkovExtension
 from extlab import harmonic
 
-from support import (random_measure, reference_stationarity_fourier,
+from support import (random_measure, reference_extension_fourier,
+                     reference_stationarity_fourier, seeded_extension_pairs,
                      seeded_overlap_measures)
-
-
-def test_character_basics():
-    chi = harmonic.Character.make(2, {(0,): 1, (1,): 0})
-    assert chi.support == ((0,),)
-    dom = Domain.interval(0, 1)
-    assert chi.evaluate((0, 1), dom) == 1
-    assert abs(chi.evaluate((1, 0), dom) - (-1)) < 1e-12
-    shifted = chi.shift((1,))
-    assert shifted.support == ((1,),)
 
 
 def test_character_group_size():
     dom = Domain.interval(0, 1)
     assert len(harmonic.all_characters(dom, 3)) == 9
+    # exponent words aligned with dom.points, in word order
+    assert harmonic.all_characters(dom, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_point_mass_at_zero_has_unit_coefficients():
@@ -40,7 +33,7 @@ def test_point_mass_at_zero_has_unit_coefficients():
 def test_uniform_measure_kills_nontrivial_characters():
     mu = Measure.uniform(Domain.interval(0, 1), 2)
     for chi, c in harmonic.fourier_transform(mu).items():
-        want = 1 if not chi.exponents else 0
+        want = 1 if not any(chi) else 0
         assert abs(c - want) < 1e-12
 
 
@@ -58,13 +51,20 @@ def test_round_trip_exact():
 
 def test_inverse_of_a_partial_table():
     dom = Domain.interval(0, 1)
-    trivial = harmonic.Character.make(2, {})
-    inv = harmonic.inverse_transform({trivial: 4}, dom, 2)
+    inv = harmonic.inverse_transform({(0, 0): 4}, dom, 2)
     assert all(abs(v - 1) < 1e-12 for v in inv.values())
     assert len(inv) == 4
-    outside = harmonic.Character.make(2, {(5,): 1})
-    with pytest.raises(ValueError):
-        harmonic.inverse_transform({trivial: 4, outside: 1}, dom, 2)
+
+
+def test_keys_that_are_not_words_are_rejected():
+    dom = Domain.interval(0, 1)
+    for bad in [(1,), (0, 0, 1), (0, 2), (0, -1)]:
+        with pytest.raises(ValueError):
+            harmonic.inverse_transform({(0, 0): 4, bad: 1}, dom, 2)
+    mu = Measure.uniform(dom, 2)
+    for bad in [(1,), (0, 0, 1)]:
+        with pytest.raises(ValueError):
+            harmonic.fourier_coeff(mu, bad)
 
 
 def test_parseval():
@@ -132,6 +132,19 @@ def test_extension_agreement():
                     == base.shift((t,)).masses for t in range(3))
         got, _ = harmonic.check_extension_fourier(base, other)
         assert got == exact
+
+
+def test_extension_witness_matches_direct_sums():
+    # the first failing (character, translate) of the direct sums, on
+    # 1-D and 2-D patterns, gapped windows and negative coordinates
+    verdicts, witnesses = set(), set()
+    for base, ext in seeded_extension_pairs(36, 90):
+        res = harmonic.check_extension_fourier(base, ext)
+        assert res == reference_extension_fourier(base, ext)
+        verdicts.add(res[0])
+        witnesses.add(res[1])
+    assert verdicts == {True, False}
+    assert len(witnesses) > 10
 
 
 def test_table_matches_direct_sums():
