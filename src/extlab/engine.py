@@ -148,10 +148,12 @@ def _prefix_trie(words, order, alphabet):
 class _PatternSearch:
     """Backtracking filler for translate-constrained symbol assignments.
 
-    Cells are assigned in index order.  Each constraint lists the cell
-    indices one placement of the word domain reads, in word order; a
-    partial assignment must keep every constraint's prefix, taken in cell
-    order, inside the projection of the allowed word set.
+    Cells are assigned in index order: an index is a search position,
+    and the caller chooses which cell each position stands for.  Each
+    constraint lists the positions one placement of the word domain
+    reads, in word order; a partial assignment must keep every
+    constraint's prefix, taken in position order, inside the projection
+    of the allowed word set.
 
     Each placement walks a prefix trie of the word set, built once per
     distinct cell order.  Every (placement, depth) pair owns one slot of
@@ -292,15 +294,51 @@ def _cell_domain(module):
     return Domain(module.dim, module.elements())
 
 
+def _fill_order(domain, periods):
+    """The axes of period > 1, outermost first, in the order that fills
+    the torus with the least total span of the unwrapped placements.
+
+    With m_a = min(e_a, P_a), where e_a is the extent of the word
+    domain's bounding box along axis a, an unwrapped placement spans
+    sum_a (m_a - 1) s_a search positions, s_a being the stride of axis
+    a.  Swapping adjacent axes a (outer) and b changes that span by
+    (m_b - 1)(P_a - 1) - (m_a - 1)(P_b - 1) times the stride below b,
+    so sorting by (m_a - 1) / (P_a - 1) ascending is optimal; the sort
+    is stable, so ties keep module order.  An axis of period 1 has one
+    residue and no stride, so it is left out.
+    """
+    key = {a: Fraction(min(hi - lo + 1, p) - 1, p - 1)
+           for a, ((lo, hi), p) in enumerate(zip(domain.bounding_box(),
+                                                 periods)) if p > 1}
+    return sorted(key, key=key.get)
+
+
 def _torus_search(T, periods):
-    """The torus cells, in search order, and the pattern search over them."""
+    """The torus cells in module.elements() order, the pattern search
+    over them in fill order (see _fill_order), and a getter that reads a
+    filling back in cell order, or None when the fill order is the cell
+    order.  A word set holding every word prunes nothing, so its search
+    keeps the cell order, and so does an empty word domain, which reads
+    no cell."""
     module = FiniteModule(periods)
     if module.dim != T.domain.dim:
         raise ValueError("period vector dimension mismatch")
     _check_cells(module.size, "torus")
     cells = _cell_domain(module)
     placements = _placements(T.domain, cells, cells.points, module.quotient)
-    return cells, _PatternSearch(T.alphabet, len(cells), placements, T.words)
+    back = None
+    if T.domain.points and len(T.words) < T.alphabet ** len(T.domain):
+        order = _fill_order(T.domain, module.periods)
+        if order != sorted(order):
+            key = itemgetter(*order)
+            fill = sorted(range(len(cells)),
+                          key=lambda i: key(cells.points[i]))
+            at = sorted(range(len(cells)), key=fill.__getitem__)
+            # cell i sits at search position at[i]
+            placements = [[at[i] for i in p] for p in placements]
+            back = itemgetter(*at)
+    return (cells, _PatternSearch(T.alphabet, len(cells), placements,
+                                  T.words), back)
 
 
 @dataclass(frozen=True)
@@ -315,25 +353,30 @@ def periodic_config_search(T, periods, node_cap=10 ** 7):
 
     The torus wraps: every translate window is read modulo the periods,
     so any positive period vector is allowed, even shorter than the
-    word-set domain.
+    word-set domain.  The configuration found is the first admissible
+    one in the fill order of _torus_search.
     """
-    cells, search = _torus_search(T, periods)
+    cells, search, back = _torus_search(T, periods)
     try:
         found = search.run(node_cap)
     except SearchBudget as exc:
         return PeriodicSearchResult("aborted", {}, str(exc))
     if found is None:
         return PeriodicSearchResult("none", {})
+    if back:
+        found = back(found)
     return PeriodicSearchResult("found", dict(zip(cells, found)))
 
 
 def enumerate_periodic_configs(T, periods, node_cap=10 ** 7,
                                config_cap=10 ** 6):
-    """All admissible torus configurations, as tuples over the cell order."""
-    _, search = _torus_search(T, periods)
+    """All admissible torus configurations, as tuples over the cells in
+    module.elements() order, sorted lexicographically whatever the fill
+    order."""
+    _, search, back = _torus_search(T, periods)
     out = []
     search.run(node_cap, collect=out, config_cap=config_cap)
-    return out
+    return sorted(map(back, out)) if back else out
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +548,24 @@ def pullback_periodic(result, W):
 def compute_H(module, U, alphabet):
     """Number of distinct torus characters in the translate closure.
 
-    Characters of the symbol torus supported on phi(U) are exponent maps
-    phi(U) -> Z/alphabet; the count covers all their translates under
-    the module action (the trivial character included).
+    A character of the symbol torus is an exponent word over the cells
+    in module.elements() order; those supported on phi(U) are the words
+    with exponents in Z/alphabet at the images of U and 0 elsewhere.
+    The count covers all their translates under the module action (the
+    trivial character included).
     """
-    images = sorted(set(module.quotient(p) for p in U.points))
+    cells = _cell_domain(module)
+    images = sorted({cells.index(module.quotient(p)) for p in U.points})
+    steps = _unit_steps(module.periods)
     seen = set()
     for exps in itertools.product(range(alphabet), repeat=len(images)):
-        base = [(c, e) for c, e in zip(images, exps) if e]
-        for g in module.elements():
-            seen.add(frozenset((module.add(c, g), e) for c, e in base))
+        word = [0] * len(cells)
+        for i, e in zip(images, exps):
+            word[i] = e
+        word = tuple(word)
+        # seen is a union of orbits, so a seen word's orbit is in it
+        if word not in seen:
+            seen.update(_translates(word, steps))
     return len(seen)
 
 

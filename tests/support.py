@@ -10,8 +10,9 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 
-from extlab import harmonic
-from extlab.lattice import Domain, EnvelopeCheck, add, translates_inside
+from extlab import engine, harmonic
+from extlab.lattice import (Domain, EnvelopeCheck, FiniteModule, add,
+                            translates_inside)
 from extlab.lp import (DEFAULT_PIVOT_LIMIT, FEASIBLE, INFEASIBLE,
                        LinearSystem, solve_feasibility)
 from extlab.measures import Measure
@@ -497,3 +498,30 @@ def reference_extension_fourier(base, ext, tol=1e-9):
             if abs(want - got) > tol:
                 return False, (chi, t)
     return True, ()
+
+
+def module_order_torus_configs(T, periods):
+    """enumerate_periodic_configs with the cells filled in
+    module.elements() order, first axis outermost: the library's pattern
+    search over untranslated placements, which lists its fillings in
+    lexicographic order without a sort."""
+    module = FiniteModule(periods)
+    cells = Domain(module.dim, module.elements())
+    placements = [[cells.index(module.quotient(add(u, t)))
+                   for u in T.domain.points] for t in cells.points]
+    out = []
+    engine._PatternSearch(T.alphabet, len(cells), placements,
+                          T.words).run(10 ** 7, collect=out)
+    return out
+
+
+def reference_compute_H(module, U, alphabet):
+    """compute_H with a character as the frozenset of its nonzero
+    (residue, exponent) pairs, translated by module.add."""
+    images = sorted(set(module.quotient(p) for p in U.points))
+    seen = set()
+    for exps in itertools.product(range(alphabet), repeat=len(images)):
+        base = [(c, e) for c, e in zip(images, exps) if e]
+        for g in module.elements():
+            seen.add(frozenset((module.add(c, g), e) for c, e in base))
+    return len(seen)

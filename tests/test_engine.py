@@ -20,9 +20,10 @@ from extlab.corpus import (disconnected_counterexample, pseudolattice_measure,
                            binary_counter_measure, binary_counter_support)
 
 from support import (brute_force_fillable, brute_force_torus_configs,
-                     dense_pullback, random_measure, random_periodic_base,
-                     reference_orbit_partition, translate_table,
-                     unreduced_torus_lp)
+                     dense_pullback, module_order_torus_configs,
+                     random_measure, random_periodic_base,
+                     reference_compute_H, reference_orbit_partition,
+                     translate_table, unreduced_torus_lp)
 
 
 def biased_pair():
@@ -201,13 +202,15 @@ def test_enumerate_periodic_configs_counts():
 def test_enumerate_periodic_configs_matches_brute_force():
     # random word sets on 1-D and 2-D domains, including tori with
     # periods shorter than the word domain (placements wrap onto
-    # themselves); the search must list exactly the brute-force
-    # fillings, in the same lexicographic order
+    # themselves); enumeration must list exactly the brute-force
+    # fillings, in the same lexicographic order, and the single search
+    # must find one of them, or report "none" when there is none
     rng = random.Random(31)
     domains_1d = [Domain.interval(0, 1), Domain.interval(0, 2),
                   Domain(1, [(0,), (2,)])]
     domains_2d = [Domain.box(2, (2, 1)), Domain.box(2, 2),
                   Domain(2, [(0, 0), (1, 1)])]
+    reordered = one_cell = 0
     for trial in range(40):
         if trial % 2:
             U = rng.choice(domains_2d)
@@ -215,17 +218,26 @@ def test_enumerate_periodic_configs_matches_brute_force():
         else:
             U = rng.choice(domains_1d)
             periods = (rng.randint(1, 6),)
+        order = engine._fill_order(U, periods)
+        reordered += order != sorted(order)
+        one_cell += periods in ((1,), (1, 1))
         A = 2 if len(U) > 2 or len(periods) == 2 else rng.choice([2, 3])
         allw = list(itertools.product(range(A), repeat=len(U)))
         seeded = [w for w in allw if rng.random() < 0.6] or [allw[0]]
         # the full set never prunes; a single word prunes almost always
         for words in (seeded, allw, [rng.choice(allw)]):
             T = WordSet(U, A, words)
+            grids = brute_force_torus_configs(U, A, T.words, periods)
             cells = FiniteModule(periods).elements()
-            expected = [tuple(grid[c] for c in cells)
-                        for grid in brute_force_torus_configs(U, A, T.words,
-                                                              periods)]
+            expected = [tuple(grid[c] for c in cells) for grid in grids]
             assert enumerate_periodic_configs(T, periods) == expected
+            res = periodic_config_search(T, periods)
+            if grids:
+                assert res.status == "found" and res.config in grids
+            else:
+                assert res.status == "none" and res.config == {}
+    # the seeds reach tori filled out of module order, and a 1-cell one
+    assert reordered and one_cell
 
 
 def test_enumerate_periodic_configs_dimension_mismatch():
@@ -252,15 +264,47 @@ def test_search_node_budget():
     assert res.window == Domain.box(1, 3)
 
 
-@pytest.mark.parametrize("periods, nodes", [((4, 8), 238766),
-                                             ((5, 8), 117334)])
-def test_search_node_count_is_pinned(periods, nodes):
-    # exact node counts of the full counter(3) torus enumeration; a
-    # faster per-node check must try the very same nodes
-    T = binary_counter_support(3)
+@pytest.mark.parametrize("k, periods, nodes",
+                         [(3, (4, 8), 47616), (3, (5, 8), 362),
+                          (4, (5, 8), 380182)],
+                         ids=["counter3-4x8", "counter3-5x8", "counter4-5x8"])
+def test_search_node_count_is_pinned(k, periods, nodes):
+    # exact node counts of the full counter(k) torus enumeration in the
+    # chosen fill order; a faster per-node check must try the very same
+    # nodes
+    T = binary_counter_support(k)
     enumerate_periodic_configs(T, periods, node_cap=nodes)
     with pytest.raises(SearchBudget, match="node budget"):
         enumerate_periodic_configs(T, periods, node_cap=nodes - 1)
+
+
+def test_fill_order_lists_the_module_order_configs():
+    # the torus workload's instances (both symbol labellings), then every
+    # counter(3) and counter(4) torus of at most 40 cells: filling in the
+    # chosen axis order lists the very configurations, in the very order,
+    # of the fill in module.elements() order
+    square = Domain.box(2, 2)
+    dense = [support_word_set(Measure.uniform(square, 2)),
+             support_word_set(Measure.product_measure([F(1, 3), F(2, 3)],
+                                                      square))]
+    cases = [(T, (4, 4)) for T in dense]
+    for k, periods in [(3, (4, 8)), (3, (4, 4)), (3, (4, 2)), (3, (5, 8)),
+                       (4, (5, 8))]:
+        T = binary_counter_support(k)
+        swapped = WordSet(T.domain, 2, [tuple(1 - s for s in w)
+                                        for w in T.words])
+        cases.append((swapped, periods))
+    for k in (3, 4):
+        T = binary_counter_support(k)
+        cases += [(T, (p, q)) for p in range(1, 41)
+                  for q in range(1, 40 // p + 1)]
+    reordered = 0
+    for T, periods in cases:
+        order = engine._fill_order(T.domain, periods)
+        reordered += order != sorted(order)
+        assert enumerate_periodic_configs(T, periods) \
+            == module_order_torus_configs(T, periods), periods
+    assert reordered
 
 
 def test_torus_and_window_cells_are_capped(monkeypatch):
@@ -457,6 +501,22 @@ def test_torus_measure_lists_translates_in_cell_order():
 def test_compute_H_known_values():
     assert compute_H(FiniteModule((2,)), Domain(1, [(0,)]), 2) == 3
     assert compute_H(FiniteModule((4,)), Domain.interval(0, 1), 2) == 9
+
+
+def test_compute_H_matches_residue_pair_count():
+    # characters as exponent words over the cells against the count of
+    # frozensets of (residue, exponent) pairs, on seeded small modules
+    # and bases that the quotient need not separate
+    rng = random.Random(41)
+    for _ in range(60):
+        dim = rng.choice([1, 2, 3])
+        periods = tuple(rng.randint(1, 4 if dim < 3 else 2)
+                        for _ in range(dim))
+        A = rng.choice([2, 3])
+        pts = [tuple(rng.randint(-3, 3) for _ in range(dim))
+               for _ in range(rng.randint(1, 3))]
+        mod, U = FiniteModule(periods), Domain(dim, pts)
+        assert compute_H(mod, U, A) == reference_compute_H(mod, U, A)
 
 
 def test_compute_H_bounds_random():
