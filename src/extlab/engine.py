@@ -21,7 +21,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded, cell_cap,
-                      add, translates_inside, verify_envelope, _overlaps)
+                      translates_inside, verify_envelope, _overlaps,
+                      _placements)
 from .measures import (Measure, WordSet, _entropy_chain,
                        is_locally_stationary, support_word_set, word_key)
 from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
@@ -225,16 +226,6 @@ class _PatternSearch:
         return None
 
 
-def _placements(U, cells, shifts, wrap=tuple):
-    """Cell indices read by each placement U + t, t in shifts, in word order.
-
-    `cells` is the Domain of cells: a window, or the cells of a torus.
-    `wrap` maps a lattice point to its cell: the identity on a window,
-    reduction modulo the periods on a torus.
-    """
-    return [[cells.index(wrap(add(u, t))) for u in U.points] for t in shifts]
-
-
 def _check_cells(ncells, what):
     if ncells > cell_cap():
         raise CapExceeded(f"{what} has {ncells} cells")
@@ -318,8 +309,10 @@ def _torus_search(T, periods):
     over them in fill order (see _fill_order), and a getter that reads a
     filling back in cell order, or None when the fill order is the cell
     order.  A word set holding every word prunes nothing, so its search
-    keeps the cell order, and so does an empty word domain, which reads
-    no cell."""
+    keeps the cell order.  An empty word domain raises ValueError, as it
+    does in the window searches (translates_inside)."""
+    if not T.domain.points:
+        raise ValueError("empty word-set domain")
     module = FiniteModule(periods)
     if module.dim != T.domain.dim:
         raise ValueError("period vector dimension mismatch")
@@ -327,7 +320,7 @@ def _torus_search(T, periods):
     cells = _cell_domain(module)
     placements = _placements(T.domain, cells, cells.points, module.quotient)
     back = None
-    if T.domain.points and len(T.words) < T.alphabet ** len(T.domain):
+    if len(T.words) < T.alphabet ** len(T.domain):
         order = _fill_order(T.domain, module.periods)
         if order != sorted(order):
             key = itemgetter(*order)
@@ -531,8 +524,7 @@ def pullback_periodic(result, W):
     member |cells| / size times, so each carries mass * size / |cells|."""
     module = result.module
     cells = _cell_domain(module)
-    reads = [[cells.index(module.quotient(add(p, g))) for p in W.points]
-             for g in cells]
+    reads = _placements(W, cells, cells.points, module.quotient)
     # int numerators over one denominator: lcm(mass denominators) * |cells|
     lcm = math.lcm(*(mass.denominator for _, _, mass in result.orbits))
     out = defaultdict(int)

@@ -21,8 +21,8 @@ import cmath
 import itertools
 import math
 
-from .lattice import (CapExceeded, cell_cap, add, translates_inside,
-                      _overlaps)
+from .lattice import (CapExceeded, cell_cap, translates_inside, _overlaps,
+                      _placements)
 
 
 def all_characters(domain, alphabet):
@@ -157,8 +157,8 @@ def check_extension_fourier(base, ext, tol=1e-9):
     if base.alphabet != ext.alphabet:
         raise ValueError("alphabet mismatch")
     U, W = base.domain, ext.domain
-    places = [(t, [W.index(add(p, t)) for p in U.points])
-              for t in translates_inside(U, W)]
+    shifts = translates_inside(U, W)
+    places = list(zip(shifts, _placements(U, W, shifts)))
     for chi in all_characters(U, base.alphabet):
         want = fourier_coeff(base, chi)
         for t, move in places:

@@ -134,6 +134,16 @@ def translates_inside(V, W):
     return out
 
 
+def _placements(U, cells, shifts, wrap=tuple):
+    """Cell indices read by each placement U + t, t in shifts, in word order.
+
+    `cells` is the Domain of cells: a window, or the cells of a torus.
+    `wrap` maps a lattice point to its cell: the identity on a window,
+    reduction modulo the periods on a torus.
+    """
+    return [[cells.index(wrap(add(u, t))) for u in U.points] for t in shifts]
+
+
 def _overlaps(domain):
     """(V, k, left, right) for each nonzero shift k = q - p between domain
     points, one per +/- pair, in increasing order.

@@ -7,12 +7,13 @@ consecutive degenerate pivots until the objective moves again, so
 termination is guaranteed.  A pivot updates each affected row only at
 the pivot row's nonzeros, and takes a gcd only of the rows it scales.
 Only the solution read out is a Fraction, and it is re-verified exactly
-against the system, also in ints: each constraint has one integer form
-(_int_row), stored when it is added and used both by the tableau and by
-LinearSystem.check, which sums it against the point put over one common
-denominator.  Vertex enumeration runs phase 1 once and phase 2 per
-objective from a copy of its tableau.  A pivot cap turns pathological
-instances into an explicit "aborted" verdict rather than a wrong answer.
+against the system, also in ints: each constraint is stored only in its
+integer form (_int_row), made when it is added.  The tableau reads it,
+LinearSystem.check sums it against the point put over one common
+denominator, and dumps renders it as Fractions.  Vertex enumeration runs
+phase 1 once and phase 2 per objective from a copy of its tableau.  A
+pivot cap turns pathological instances into an explicit "aborted"
+verdict rather than a wrong answer.
 """
 
 import hashlib
@@ -34,16 +35,17 @@ DEFAULT_PIVOT_LIMIT = 200000
 
 
 class LinearSystem:
-    """Ax = b, Cx >= d, with selected variables constrained nonnegative."""
+    """Ax = b, Cx >= d, with selected variables constrained nonnegative.
+
+    Each constraint is stored once, in insertion order, as its integer
+    form (see _int_row)."""
 
     def __init__(self):
         self.variables = []
         self._var_index = {}
         self.nonneg = set()
-        self.equalities = []    # (coeff dict, rhs)
-        self.inequalities = []  # (coeff dict, rhs), meaning row . x >= rhs
-        self._int_eqs = []      # their integer forms (_int_row), in order
-        self._int_ges = []
+        self.equalities = []    # integer forms (_int_row)
+        self.inequalities = []  # the same, meaning row . x >= rhs
 
     def add_variable(self, name, nonneg=True):
         if name in self._var_index:
@@ -53,23 +55,17 @@ class LinearSystem:
         if nonneg:
             self.nonneg.add(name)
 
-    def _clean(self, coeffs):
-        out = {}
-        for name, c in coeffs.items():
-            if name not in self._var_index:
-                raise ValueError(f"unknown variable {name!r}")
-            c = Fraction(c)
-            if c != 0:
-                out[name] = c
-        return out
+    def _row(self, coeffs, rhs):
+        if not coeffs.keys() <= self._var_index.keys():
+            name = next(v for v in coeffs if v not in self._var_index)
+            raise ValueError(f"unknown variable {name!r}")
+        return _int_row(coeffs, rhs)
 
     def add_eq(self, coeffs, rhs):
-        self.equalities.append((self._clean(coeffs), Fraction(rhs)))
-        self._int_eqs.append(_int_row(*self.equalities[-1]))
+        self.equalities.append(self._row(coeffs, rhs))
 
     def add_ge(self, coeffs, rhs):
-        self.inequalities.append((self._clean(coeffs), Fraction(rhs)))
-        self._int_ges.append(_int_row(*self.inequalities[-1]))
+        self.inequalities.append(self._row(coeffs, rhs))
 
     def check(self, assignment):
         """Exactly verify a candidate assignment against every constraint.
@@ -87,21 +83,22 @@ class LinearSystem:
         den = math.lcm(*(x.denominator for x in values))
         X = {v: x.numerator * (den // x.denominator)
              for v, x in zip(self.variables, values)}
-        for rows, ok in ((self._int_eqs, operator.eq),
-                         (self._int_ges, operator.ge)):
+        for rows, ok in ((self.equalities, operator.eq),
+                         (self.inequalities, operator.ge)):
             for _, ints, b in rows:
                 if not ok(sum(c * X[v] for v, c in ints.items()), b * den):
                     return False
         return True
 
     def dumps(self):
-        """Canonical text rendering (also used for report hashing)."""
+        """Canonical text, rows as Fractions (also used for report hashing)."""
         lines = [f"var {v}{' >= 0' if v in self.nonneg else ''}"
                  for v in self.variables]
         for kind, rows in (("==", self.equalities), (">=", self.inequalities)):
-            for coeffs, rhs in rows:
-                terms = " + ".join(f"{c}*{v}" for v, c in sorted(coeffs.items()))
-                lines.append(f"{terms or '0'} {kind} {rhs}")
+            for scale, ints, rhs in rows:
+                terms = " + ".join(f"{Fraction(c, scale)}*{v}"
+                                   for v, c in sorted(ints.items()))
+                lines.append(f"{terms or '0'} {kind} {Fraction(rhs, scale)}")
         return "\n".join(lines) + "\n"
 
     def digest(self):
@@ -122,15 +119,15 @@ def _reduce(row):
 
 
 def _int_row(coeffs, rhs):
-    """A constraint times the lcm of its denominators, its integer form.
-
-    Returns (scale, {variable: int coefficient}, int rhs).
-    """
+    """A constraint times the lcm of its denominators, its integer form
+    (scale, {variable: int coefficient}, int rhs); zeros are dropped."""
+    coeffs = {v: Fraction(c) for v, c in coeffs.items()}
+    rhs = Fraction(rhs)
     scale = math.lcm(rhs.denominator,
                      *(c.denominator for c in coeffs.values()))
     return (scale,
             {v: c.numerator * (scale // c.denominator)
-             for v, c in coeffs.items()},
+             for v, c in coeffs.items() if c},
             rhs.numerator * (scale // rhs.denominator))
 
 
@@ -249,10 +246,12 @@ class _Tableau:
 def _standard_form(system):
     """Split free variables, add slacks and artificials: int rows.
 
-    Each constraint is taken in its integer form (_int_row), negated if
-    its rhs is negative, and ends in its rhs; its basic artificial holds
-    the scale.  Returns (rows, colmap, width): width counts original and
+    Each constraint, in its integer form (_int_row), is negated if its
+    rhs is negative and ends in its rhs; its basic artificial holds the
+    scale.  Returns (rows, colmap, width): width counts original and
     slack columns, colmap maps a variable to (plus_col, minus_col_or_None).
+    A tableau of more than cell_cap() entries raises CapExceeded before
+    any row is built.
     """
     cols = {}
     ncols = 0
@@ -264,12 +263,16 @@ def _standard_form(system):
             cols[v] = (ncols, ncols + 1)
             ncols += 2
     neq = len(system.equalities)
-    constraints = system._int_eqs + system._int_ges
-    width = ncols + len(system.inequalities)
+    constraints = system.equalities + system.inequalities
+    m = len(constraints)
+    width = ncols + m - neq
+    if m * (width + m + 1) > cell_cap():
+        raise CapExceeded(f"simplex tableau needs {m} x {width + m + 1} "
+                          f"= {m * (width + m + 1)} entries")
     rows = []
     for k, (scale, ints, rhs) in enumerate(constraints):
         sign = -1 if rhs < 0 else 1
-        row = [0] * (width + len(constraints) + 1)
+        row = [0] * (width + m + 1)
         for v, c in ints.items():
             plus, minus = cols[v]
             row[plus] = c * sign
@@ -287,14 +290,8 @@ def _phase1(system, pivot_limit):
     """Standard form, artificial phase and drive-out: returns (status,
     tableau, colmap), on FEASIBLE a feasible basis over the original and
     slack columns, redundant rows dropped."""
-    # rows x (columns, free variables split, + slacks + artificials + rhs)
-    m = len(system.equalities) + len(system.inequalities)
-    width = (2 * len(system.variables) - len(system.nonneg)
-             + len(system.inequalities))
-    if m * (width + m + 1) > cell_cap():
-        raise CapExceeded(f"simplex tableau needs {m} x {width + m + 1} "
-                          f"= {m * (width + m + 1)} entries")
     rows, cols, width = _standard_form(system)
+    m = len(rows)
     tab = _Tableau(rows, width + m, list(range(width, width + m)))
     if tab.maximize([0] * width + [-1] * m, pivot_limit) == "aborted":
         return ABORTED, tab, cols
@@ -317,16 +314,15 @@ def _phase2(system, tab, cols, objective, pivot_limit):
     """Maximize a rational objective (if any) from phase 1's basis in
     tab, then read the point out and check it against the system."""
     if objective is not None:
-        cost = [Fraction(0)] * tab.ncols
-        for v, c in objective.items():
+        # each variable owns its columns: the objective's integer form
+        cost = [0] * tab.ncols
+        for v, c in _int_row(objective, 0)[1].items():
             plus, minus = cols[v]
-            cost[plus] += Fraction(c)
+            cost[plus] = c
             if minus is not None:
-                cost[minus] -= Fraction(c)
-        scale = math.lcm(*(c.denominator for c in cost))
+                cost[minus] = -c
         # "unbounded" is feasible with no optimum: keep the current point
-        if tab.maximize([int(c * scale) for c in cost],
-                        pivot_limit) == "aborted":
+        if tab.maximize(cost, pivot_limit) == "aborted":
             return FeasibilityResult(ABORTED, pivots=tab.pivots)
 
     Z = Fraction(0)

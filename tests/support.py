@@ -66,6 +66,29 @@ def fm_feasible(ineqs, nvars):
     return all(rhs <= 0 for _, rhs in rows)
 
 
+def rational_rows(rows):
+    """LinearSystem rows, stored as integer forms (scale, {variable: int},
+    int rhs), as (coefficient dict, rhs) pairs of Fractions."""
+    return [({v: Fraction(c, scale) for v, c in ints.items()},
+             Fraction(rhs, scale)) for scale, ints, rhs in rows]
+
+
+def reference_dumps(variables, nonneg, added):
+    """LinearSystem.dumps rendered from Fraction rows.  `added` lists
+    (kind, coeffs, rhs) in the order they were passed to add_eq ("==")
+    and add_ge (">="); values become Fractions, zeros are dropped."""
+    lines = [f"var {v}{' >= 0' if v in nonneg else ''}" for v in variables]
+    for kind in ("==", ">="):
+        for k, coeffs, rhs in added:
+            if k != kind:
+                continue
+            coeffs = {v: Fraction(c) for v, c in coeffs.items()
+                      if Fraction(c) != 0}
+            terms = " + ".join(f"{c}*{v}" for v, c in sorted(coeffs.items()))
+            lines.append(f"{terms or '0'} {kind} {Fraction(rhs)}")
+    return "\n".join(lines) + "\n"
+
+
 def system_to_ineqs(system):
     """Flatten a LinearSystem into pure >= rows over its variable order."""
     order = {v: i for i, v in enumerate(system.variables)}
@@ -78,11 +101,11 @@ def system_to_ineqs(system):
             out[order[v]] = Fraction(c)
         return out
 
-    for coeffs, rhs in system.equalities:
+    for coeffs, rhs in rational_rows(system.equalities):
         r = row_of(coeffs)
         rows.append((r, rhs))
         rows.append(([-c for c in r], -rhs))
-    for coeffs, rhs in system.inequalities:
+    for coeffs, rhs in rational_rows(system.inequalities):
         rows.append((row_of(coeffs), rhs))
     for v in system.nonneg:
         r = [Fraction(0)] * n
@@ -418,7 +441,7 @@ def reference_check(system, assignment):
             return False
     for rows, holds in ((system.equalities, lambda s, b: s == b),
                         (system.inequalities, lambda s, b: s >= b)):
-        for coeffs, rhs in rows:
+        for coeffs, rhs in rational_rows(rows):
             total = Fraction(0)
             for v, c in coeffs.items():
                 total += Fraction(c) * Fraction(assignment[v])

@@ -154,6 +154,14 @@ def test_tiling_and_perconfig(write_json, capsys):
     assert code == 1
 
 
+def test_empty_word_domain_is_an_input_error(write_json, capsys):
+    path = write_json("empty.json", {"dim": 2, "alphabet": 2, "domain": [],
+                                     "words": []})
+    assert main(["perconfig", path, "--period", "2,3"]) == 2
+    assert "empty word-set domain" in capsys.readouterr().err
+    assert main(["tiling", path]) == 2
+
+
 def test_perconfig_deep_torus(write_json, capsys):
     # 1600 cells, one search level each: deeper than Python's default
     # recursion limit of 1000

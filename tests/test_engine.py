@@ -246,6 +246,18 @@ def test_enumerate_periodic_configs_dimension_mismatch():
         enumerate_periodic_configs(T, (4,))
 
 
+def test_torus_search_rejects_an_empty_word_domain():
+    # refused as the window searches refuse it, with or without the
+    # empty word in the set, before any torus is filled
+    for words in ([], [()]):
+        T = WordSet(Domain(2, []), 2, words)
+        for search in (enumerate_periodic_configs, periodic_config_search):
+            with pytest.raises(ValueError, match="empty word-set domain"):
+                search(T, (2, 3))
+        with pytest.raises(ValueError, match="empty translate pattern"):
+            sft_emptiness(T, max_side=2)
+
+
 def test_search_node_budget():
     # the first filling of six cells tries exactly one symbol per cell
     W = Domain.interval(0, 5)

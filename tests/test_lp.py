@@ -10,8 +10,9 @@ from extlab.lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                        FEASIBLE, INFEASIBLE, ABORTED)
 from extlab.measures import Measure, random_stationary_measure
 
-from support import (fm_feasible, reference_check, reference_eliminate,
-                     reference_vertices, system_to_ineqs)
+from support import (fm_feasible, rational_rows, reference_check,
+                     reference_dumps, reference_eliminate, reference_vertices,
+                     system_to_ineqs)
 
 
 def simple_system(rows, rhs, nvars, nonneg=True):
@@ -187,6 +188,52 @@ def test_digest_stable_and_sensitive():
     assert a.digest() != c.digest()
 
 
+def test_dumps_renders_the_fraction_rows(monkeypatch):
+    # rows are stored only as integer forms; dumps renders them as the
+    # Fraction rows they were added as, so every digest is unchanged
+    added = {}
+    for kind, name in (("==", "add_eq"), (">=", "add_ge")):
+        def spy(self, coeffs, rhs, kind=kind, real=getattr(LinearSystem,
+                                                            name)):
+            real(self, coeffs, rhs)
+            added.setdefault(id(self), []).append((kind, coeffs, rhs))
+        monkeypatch.setattr(LinearSystem, name, spy)
+    systems = [seeded_rational_system(seed)[0] for seed in range(400)]
+    rng = random.Random(11)
+    systems += [seeded_check_case(rng)[0] for _ in range(400)]
+    s = LinearSystem()
+    s.add_variable("x", nonneg=False)
+    s.add_variable("y")
+    s.add_eq({}, 0)
+    s.add_eq({"x": 0, "y": F(0, 3)}, F(-2, 4))
+    s.add_ge({"x": "1/3", "y": 2.5}, -1)
+    systems.append(s)
+    kinds = {"rational": 0, "negative rhs": 0, "zero coefficient": 0,
+             "empty row": 0, "free variable": 0}
+    for s in systems:
+        rows = added.get(id(s), [])
+        assert s.dumps() == reference_dumps(s.variables, s.nonneg, rows)
+        kinds["rational"] += any(F(x).denominator > 1 for _, c, b in rows
+                                 for x in (b, *c.values()))
+        kinds["negative rhs"] += any(F(b) < 0 for _, _, b in rows)
+        kinds["zero coefficient"] += any(F(x) == 0 for _, c, _ in rows
+                                         for x in c.values())
+        kinds["empty row"] += any(not any(map(F, c.values()))
+                                  for _, c, _ in rows)
+        kinds["free variable"] += len(s.nonneg) < len(s.variables)
+    assert min(kinds.values()) > 10, kinds
+
+
+def test_unknown_variable_stores_no_row():
+    s = simple_system([[1, 1]], [1], 2)
+    text = s.dumps()
+    for add in (s.add_eq, s.add_ge):
+        with pytest.raises(ValueError, match="unknown variable 'y'"):
+            add({"x0": 1, "y": 0}, 1)
+    assert (len(s.equalities), len(s.inequalities)) == (1, 0)
+    assert s.dumps() == text
+
+
 def test_check_rejects_violations():
     s = simple_system([[1, 1]], [1], 2)
     assert s.check({"x0": F(1, 2), "x1": F(1, 2)})
@@ -232,12 +279,13 @@ def test_check_matches_fraction_sums():
         missing += len(point) < len(s.variables)
         negative += any(point.get(v, 0) < 0 for v in s.nonneg)
         if ok:
-            rows = [(c, b) for c, b in s.inequalities
+            rows = [(c, b) for c, b in rational_rows(s.inequalities)
                     if sum((x * point[v] for v, x in c.items()), F(0)) > b]
             strict_ge += bool(rows)
-            rational_pass += any(x.denominator > 1 for c, _ in
-                                 s.equalities + s.inequalities
-                                 for x in c.values())
+            rational_pass += any(
+                x.denominator > 1 for c, _ in
+                rational_rows(s.equalities + s.inequalities)
+                for x in c.values())
     # both verdicts, slack >= rows, rational rows that hold, missing
     # values and negative nonnegative values all occur
     assert min(verdicts.values()) > 500
