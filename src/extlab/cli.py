@@ -15,7 +15,7 @@ import traceback
 from .lattice import Domain, CapExceeded
 from .measures import (Measure, WordSet, is_locally_stationary,
                        entropy_metric, finite_window_entropy, word_key,
-                       _parse_mass)
+                       _integer_points, _parse_mass)
 from .markov import MarkovExtension, entropy_rate
 from .engine import (periodic_extension, refute_nonextendible, sft_emptiness,
                      periodic_config_search, epsilon_bound,
@@ -139,10 +139,9 @@ def cmd_fourier(args):
 def cmd_entropy_metric(args):
     mu = _load_measure(args.measure)
     try:
-        sets = json.loads(args.sets)
-        V = Domain(mu.domain.dim, sets[0])
-        W = Domain(mu.domain.dim, sets[1])
-    except (ValueError, IndexError, TypeError) as exc:
+        V, W = (Domain(mu.domain.dim, _integer_points(points, "each set"))
+                for points in json.loads(args.sets))
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"bad --sets payload: {exc}")
     _emit({"entropy_metric": entropy_metric(mu, V, W),
            "window_entropy": finite_window_entropy(mu)})

@@ -11,6 +11,10 @@ Four families of tools:
   pullbacks and quantitative bounds read those orbit weights;
 * a refutation pipeline combining entropy chains, SFT emptiness, and
   growing-window LP infeasibility.
+
+The window polytope and the torus LP are one LP, built by _class_lp:
+a measure constant on classes of configurations, locally stationary
+across given overlaps, with base marginal mu at given placements.
 """
 
 import itertools
@@ -31,6 +35,60 @@ from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
 
 def _var(word):
     return "x" + word_key(word)
+
+
+# ---------------------------------------------------------------------------
+# the extension LP
+
+
+def _class_lp(mu, classes, names, placements, overlaps=()):
+    """The exact LP of a measure on configurations that is constant on
+    each class, locally stationary across the overlaps, and has base
+    marginal mu at every placement.
+
+    A configuration is a tuple of symbols; a placement, and each side of
+    an overlap (left, right), is a tuple of its positions, read in word
+    order.  Variable names[i] >= 0 is the mass of each member of
+    classes[i].  The rows are, in this order:
+
+    * total mass 1: the sum of |class| * x over the classes;
+    * per overlap, per word b read at either side, in order of first
+      appearance: the members reading b at left minus those reading it
+      at right, == 0; all-zero rows are dropped;
+    * per placement, per word u read there or in the support of mu, in
+      sorted order: the members reading u, == mu[u].
+
+    The window polytope (one class per window word, every translate of
+    the base domain, the maximal overlaps) and the torus LP (the
+    translation orbits of the admissible configurations, the base domain
+    at the origin read through the quotient, no overlaps) are this LP.
+    Their verdicts weigh differently.  An infeasible window is a
+    refutation: every stationary extension of mu restricts to a point of
+    it.  A feasible window proves nothing.  A feasible torus is a
+    constructed periodic extension.  An infeasible torus rules out only
+    the extensions with those periods.
+    """
+    system = LinearSystem()
+    for name in names:
+        system.add_variable(name, nonneg=True)
+    system.add_eq({v: len(c) for v, c in zip(names, classes)}, 1)
+    for left, right in overlaps:
+        rows = defaultdict(Counter)
+        for v, members in zip(names, classes):
+            for cfg in members:
+                rows[tuple(cfg[i] for i in left)][v] += 1
+                rows[tuple(cfg[i] for i in right)][v] -= 1
+        for coeffs in rows.values():
+            if any(coeffs.values()):
+                system.add_eq(coeffs, 0)
+    for idx in placements:
+        rows = defaultdict(Counter)
+        for v, members in zip(names, classes):
+            for cfg in members:
+                rows[tuple(cfg[i] for i in idx)][v] += 1
+        for u in sorted(rows.keys() | mu.support()):
+            system.add_eq(rows[u], mu[u])
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -88,33 +146,9 @@ def build_window_polytope(mu, W, cap=None):
         raise CapExceeded(f"window polytope needs {nwords} variables")
 
     words = list(itertools.product(range(mu.alphabet), repeat=len(W)))
-    system = LinearSystem()
-    for w in words:
-        system.add_variable(_var(w), nonneg=True)
-    system.add_eq({_var(w): 1 for w in words}, 1)
-
-    # stationarity via maximal overlaps
-    for _, _, left, right in _overlaps(W):
-        groups = defaultdict(dict)
-        for w in words:
-            bl = tuple(w[i] for i in left)
-            br = tuple(w[i] for i in right)
-            v = _var(w)
-            groups[bl][v] = groups[bl].get(v, 0) + 1
-            groups[br][v] = groups[br].get(v, 0) - 1
-        for b, coeffs in groups.items():
-            coeffs = {v: c for v, c in coeffs.items() if c != 0}
-            if coeffs:
-                system.add_eq(coeffs, 0)
-
-    # marginal constraints on every translate of U inside W
-    for idx in _placements(U, W, anchors):
-        groups = defaultdict(list)
-        for w in words:
-            groups[tuple(w[i] for i in idx)].append(_var(w))
-        for u in itertools.product(range(mu.alphabet), repeat=len(U)):
-            system.add_eq({v: 1 for v in groups.get(u, [])}, mu[u])
-
+    system = _class_lp(mu, [[w] for w in words], [_var(w) for w in words],
+                       _placements(U, W, anchors),
+                       [(left, right) for _, _, left, right in _overlaps(W)])
     return ExtensionPolytope(W, mu, words, system)
 
 
@@ -483,23 +517,13 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     except SearchBudget as exc:
         return PeriodicExtensionResult(ABORTED, module, mu.alphabet, [],
                                        warning, reason=str(exc))
-    cells = _cell_domain(module)
     orbits = _orbit_partition(configs, module)
-    base_idx = [cells.index(module.quotient(u)) for u in mu.domain.points]
+    origin = _placements(mu.domain, _cell_domain(module), [(0,) * module.dim],
+                         module.quotient)
+    names = [f"y{o}" for o in range(len(orbits))]
+    system = _class_lp(mu, orbits, names, origin)
 
-    system = LinearSystem()
-    counts = []
-    for o, orbit in enumerate(orbits):
-        system.add_variable(f"y{o}", nonneg=True)
-        counts.append(Counter(tuple(cfg[i] for i in base_idx)
-                              for cfg in orbit))
-    system.add_eq({f"y{o}": len(orbit) for o, orbit in enumerate(orbits)}, 1)
-    for u in sorted(mu.support()):
-        system.add_eq({f"y{o}": counts[o][u] for o in range(len(orbits))
-                       if counts[o][u]}, mu[u])
-
-    warm = ({f"y{o}": Fraction(1, len(configs)) for o in range(len(orbits))}
-            if configs else None)
+    warm = {v: Fraction(1, len(configs)) for v in names} if configs else None
     sol = solve_feasibility(system, pivot_limit=pivot_limit, warm_start=warm)
     result = PeriodicExtensionResult(
         sol.status, module, mu.alphabet, envelope_warning=warning,
@@ -508,8 +532,8 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     if sol.status != FEASIBLE:
         return result
 
-    for o, orbit in enumerate(orbits):
-        y = sol.assignment[f"y{o}"]
+    for v, orbit in zip(names, orbits):
+        y = sol.assignment[v]
         if y != 0:
             result.orbits.append((orbit[0], len(orbit), y))
     # exact re-check of the defining marginal property

@@ -56,12 +56,18 @@ def _header_from_json(data):
         if type(data[name]) is not int or data[name] < 1:
             raise ValueError(f"{name} must be an integer >= 1, "
                              f"got {data[name]!r}")
-    points = data["domain"]
+    return (Domain(data["dim"], _integer_points(data["domain"], "domain")),
+            data["alphabet"])
+
+
+def _integer_points(points, what):
+    """points, checked to be a JSON list of integer coordinate lists
+    (no floats, booleans or strings, which Domain would coerce)."""
     if not (isinstance(points, list) and all(
             isinstance(p, list) and all(type(x) is int for x in p)
             for p in points)):
-        raise ValueError("domain must be a list of integer coordinate lists")
-    return Domain(data["dim"], points), data["alphabet"]
+        raise ValueError(f"{what} must be a list of integer coordinate lists")
+    return points
 
 
 def _check_symbols(word, alphabet, npoints):

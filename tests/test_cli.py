@@ -258,8 +258,12 @@ def test_entropy_metric(write_json, capsys):
                              "--sets", "[[[0]],[[3]]]"])
     assert code == 0
     assert json.loads(out)["entropy_metric"] == 2.0
-    code, _ = run(capsys, ["entropy-metric", disc, "--sets", "nonsense"])
-    assert code == 2
+    # a point must be a list of JSON integers: Domain would read 0.9,
+    # true and "0" as site 0
+    for sets in ("nonsense", "[[[0.9]],[[3]]]", "[[[true]],[[3]]]",
+                 '[[["0"]],[[3]]]'):
+        code, _ = run(capsys, ["entropy-metric", disc, "--sets", sets])
+        assert code == 2, sets
 
 
 def test_corpus_emission(capsys):
@@ -445,6 +449,9 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     lines = iter(block.splitlines())
     ran = []
+    # the exit code of each extlab line in order (every corpus line
+    # exits 0); the CI step expects the same codes
+    codes = [0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
     for line in lines:
         heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
         if heredoc:
@@ -455,8 +462,8 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
         argv, _, out = line.partition(" > ")
         code = main(shlex.split(argv)[1:])
         captured = capsys.readouterr()
-        assert code not in (2, 4), (line, captured.err)
+        assert code == codes[len(ran)], (line, captured.err)
         if out:
             Path(out).write_text(captured.out)
         ran.append(line)
-    assert len(ran) == 12
+    assert len(ran) == len(codes)

@@ -120,6 +120,14 @@ def test_polytope_stationarity_rows_read_overlap_positions(monkeypatch):
     assert calls == [[(0, 0), (0, 1)]]
 
 
+def test_polytope_drops_all_zero_stationarity_rows():
+    # over one symbol every overlap row cancels; only the normalisation
+    # and one marginal row per base translate stay
+    mu = Measure.uniform(Domain.interval(0, 1), 1)
+    system = build_window_polytope(mu, Domain.interval(0, 3)).system
+    assert system.dumps() == "var x0,0,0,0 >= 0\n" + "1*x0,0,0,0 == 1\n" * 4
+
+
 def test_polytope_cap():
     mu = pseudolattice_measure()
     with pytest.raises(CapExceeded):

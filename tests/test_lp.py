@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from extlab import engine, lp
+from extlab.corpus import binary_counter_measure, disconnected_counterexample
 from extlab.lattice import Domain, CapExceeded
 from extlab.lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                        FEASIBLE, INFEASIBLE, ABORTED)
@@ -373,6 +374,25 @@ def test_simplex_results_pinned(monkeypatch):
         solved.append(solve_feasibility(system, *args, **kwargs))
         return solved[-1]
     monkeypatch.setattr(engine, "solve_feasibility", spy)
+    counter3 = binary_counter_measure(3)
+    for base, periods, digest, status, pivots in (
+            (counter3, (4, 8), "8b0baf84c32668c7", FEASIBLE, 4),
+            (counter3, (4, 4), "4a615b6206cf00e8", FEASIBLE, 3),
+            # no admissible configuration: no variable, "0 == 1"
+            (counter3, (4, 2), "bf974eb1be9ddeb5", INFEASIBLE, 0),
+            (binary_counter_measure(4), (5, 8), "ad470e4f460816bd",
+             FEASIBLE, 12),
+            (disconnected_counterexample(), (8,), "d8ee79f8b0ca420b",
+             INFEASIBLE, 2),
+            (random_stationary_measure(2, 3, random.Random(5)), (6,),
+             "9384de70f2ebd004", FEASIBLE, 5)):
+        systems.clear()
+        solved.clear()
+        assert engine.periodic_extension(base, periods).status == status
+        assert (systems[0].digest(), solved[0].status, solved[0].pivots) \
+            == (digest, status, pivots), periods
+    systems.clear()
+    solved.clear()
     product = Measure.product_measure([F(1, 3), F(2, 3)], Domain.box(2, 2))
     res = engine.periodic_extension(product, (3, 4))
     assert res.status == FEASIBLE
