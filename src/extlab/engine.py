@@ -27,7 +27,7 @@ from operator import itemgetter
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded, cell_cap,
                       translates_inside, verify_envelope, _overlaps,
                       _placements)
-from .measures import (Measure, WordSet, _entropy_chain,
+from .measures import (Measure, _entropy_chain,
                        is_locally_stationary, support_word_set, word_key)
 from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                  FEASIBLE, INFEASIBLE, ABORTED, DEFAULT_PIVOT_LIMIT)
@@ -127,7 +127,7 @@ class ExtensionPolytope:
         return self.system.check(assignment)
 
 
-def build_window_polytope(mu, W, cap=None):
+def build_window_polytope(mu, W):
     """LP description of S(W): stationary on W, all U-translate marginals mu.
 
     Stationarity is imposed through the maximal overlaps V = W cap (W-k),
@@ -140,9 +140,8 @@ def build_window_polytope(mu, W, cap=None):
     anchors = translates_inside(U, W)
     if not anchors:
         raise ValueError("no translate of the base domain fits the window")
-    cap = cell_cap() if cap is None else cap
     nwords = mu.alphabet ** len(W)
-    if nwords > cap:
+    if nwords > cell_cap():
         raise CapExceeded(f"window polytope needs {nwords} variables")
 
     words = list(itertools.product(range(mu.alphabet), repeat=len(W)))
@@ -473,7 +472,11 @@ def _translates(cfg, steps):
 
 
 def _orbit_partition(configs, module):
-    """Group configurations into translation orbits, each a sorted list."""
+    """Group configurations into translation orbits, each a sorted list.
+
+    An orbit holds every translate of its configurations, whether or not
+    that translate is in `configs` (compute_H counts such translates).
+    """
     if not configs:
         return []
     steps = _unit_steps(module.periods)
@@ -572,17 +575,13 @@ def compute_H(module, U, alphabet):
     """
     cells = _cell_domain(module)
     images = sorted({cells.index(module.quotient(p)) for p in U.points})
-    steps = _unit_steps(module.periods)
-    seen = set()
+    words = []
     for exps in itertools.product(range(alphabet), repeat=len(images)):
         word = [0] * len(cells)
         for i, e in zip(images, exps):
             word[i] = e
-        word = tuple(word)
-        # seen is a union of orbits, so a seen word's orbit is in it
-        if word not in seen:
-            seen.update(_translates(word, steps))
-    return len(seen)
+        words.append(tuple(word))
+    return sum(map(len, _orbit_partition(words, module)))
 
 
 def epsilon_bound(result, U):
@@ -615,8 +614,7 @@ class RefutationReport:
         }
 
 
-def refute_nonextendible(mu, max_window=4, windows=None, lp_cap=None,
-                         node_cap=10 ** 7,
+def refute_nonextendible(mu, max_window=4, windows=None, node_cap=10 ** 7,
                          pivot_limit=DEFAULT_PIVOT_LIMIT):
     """Attempt to prove that mu admits no stationary extension.
 
@@ -661,7 +659,7 @@ def refute_nonextendible(mu, max_window=4, windows=None, lp_cap=None,
     last = None
     for W in windows:
         try:
-            polytope = build_window_polytope(mu, W, cap=lp_cap)
+            polytope = build_window_polytope(mu, W)
             res = polytope.solve(pivot_limit=pivot_limit)
         except CapExceeded as exc:
             detail[f"lp {W.bounding_box()}"] = str(exc)

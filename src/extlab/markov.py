@@ -6,9 +6,7 @@ by the usual chain-rule product of conditionals.  Among all stationary
 extensions of the base, this one maximizes entropy rate.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import Domain, CapExceeded, cell_cap
 from .measures import Measure, is_locally_stationary, finite_window_entropy
@@ -32,35 +30,27 @@ class MarkovExtension:
             base = base.shift((-pts[0],))
         self.base = base
         self.memory = len(pts) - 1  # m-step Markov
+        self.prefix = self._prefix_marginal(self.memory)
 
     def _prefix_marginal(self, length):
         """Marginal of the base on its first `length` sites."""
         return self.base.marginal(Domain.interval(0, length - 1))
 
-    def cylinder(self, word):
-        """Exact mass of a cylinder word on a contiguous interval.
+    def _step(self, tail, a):
+        """P(next symbol a | last m symbols tail).  The numerator is at
+        most the denominator, so a null tail gives 0, never 0/0."""
+        num = self.base[tail + (a,)]
+        return num / self.prefix[tail] if num else num
 
-        Any conditional with zero denominator forces mass zero (the
-        conditioning event is already null).
-        """
+    def cylinder(self, word):
+        """Exact mass of a cylinder word on a contiguous interval."""
         s = tuple(word)
         m = self.memory
-        if len(s) == 0:
-            return Fraction(1)
-        if len(s) <= m + 1:
+        if len(s) < m:
             return self._prefix_marginal(len(s))[s]
-        pref = self._prefix_marginal(m) if m > 0 else None
-        mass = self.base[s[0:m + 1]]
-        for k in range(1, len(s) - m):
-            if mass == 0:
-                return Fraction(0)
-            num = self.base[s[k:k + m + 1]]
-            if num == 0:
-                return Fraction(0)
-            den = pref[s[k:k + m]] if m > 0 else Fraction(1)
-            if den == 0:
-                return Fraction(0)
-            mass *= Fraction(num, den)
+        mass = self.prefix[s[:m]]
+        for k in range(m, len(s)):
+            mass *= self._step(s[k - m:k], s[k])
         return mass
 
     def window_measure(self, n):
@@ -75,20 +65,16 @@ class MarkovExtension:
         m = self.memory
         if n <= m + 1:
             return self._prefix_marginal(n)
-        pref = self._prefix_marginal(m) if m > 0 else None
         cap = cell_cap()
-        current = dict(self.base.masses)
+        current = self.base.masses
         for _ in range(n - m - 1):
-            nxt = defaultdict(Fraction)
+            nxt = {}
             for w, mass in current.items():
-                tail = w[-m:] if m > 0 else ()
-                den = pref[tail] if m > 0 else Fraction(1)
-                if den == 0:
-                    continue
+                tail = w[len(w) - m:]
                 for a in range(self.base.alphabet):
-                    num = self.base[tail + (a,)]
-                    if num != 0:
-                        nxt[w + (a,)] += mass * Fraction(num, den)
+                    p = self._step(tail, a)
+                    if p:
+                        nxt[w + (a,)] = mass * p
                 if len(nxt) > cap:
                     raise CapExceeded(f"window {n} passes {cap} words")
             current = nxt
@@ -109,8 +95,6 @@ def entropy_rate(ext, n, window=None):
     if window is None:
         window = ext.window_measure(n)
     per_site = finite_window_entropy(window) / n
-    m = ext.memory
     h_full = finite_window_entropy(ext.base)
-    h_pref = (finite_window_entropy(ext._prefix_marginal(m))
-              if m > 0 else 0.0)
+    h_pref = finite_window_entropy(ext.prefix)
     return EntropyRateEstimate(per_site, h_full - h_pref)

@@ -9,7 +9,6 @@ arithmetic; entropy is the only float-valued quantity.
 
 import itertools
 import math
-import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -297,7 +296,14 @@ def entropy_chain_refute(mu, horizon=4):
 
 
 def _entropy_chain(mu, horizon):
-    """entropy_chain_refute on a measure known to be locally stationary."""
+    """entropy_chain_refute on a measure known to be locally stationary.
+
+    Each site u grows one breadth-first tree over the box: edges p -> p + d
+    for d in the order its forced bijection was found, and a node's parent
+    is the node that first reached it, so the path to every later site w
+    is a shortest one.  The reported pair is the first (u, w) in domain
+    order whose composite along that path its joint marginal violates.
+    """
     U = mu.domain
     # forced bijections per difference vector
     sigma = {}
@@ -313,52 +319,30 @@ def _entropy_chain(mu, horizon):
     if not sigma:
         return ChainResult("unknown", (), ())
 
-    box = U.bounding_box()
-    ranges = [range(lo - horizon, hi + horizon + 1) for lo, hi in box]
-    nodes = set(itertools.product(*ranges))
-    # adjacency over forced-bijection edges
-    graph = defaultdict(list)
-    for d in sigma:
-        for p in nodes:
-            q = add(p, d)
-            if q in nodes:
-                graph[p].append((q, d))
-
-    def bfs_path(src, dst):
-        prev = {src: None}
-        queue = [src]
-        while queue:
-            nxt = []
-            for p in queue:
-                if p == dst:
-                    path = []
-                    while p is not None:
-                        path.append(p)
-                        p = prev[p][0] if prev[p] else None
-                    return list(reversed(path))
-                for q, d in graph[p]:
-                    if q not in prev:
-                        prev[q] = (p, d)
-                        nxt.append(q)
-            queue = nxt
-        return None
-
+    box = [(lo - horizon, hi + horizon) for lo, hi in U.bounding_box()]
     for i, u in enumerate(U.points):
+        parent = {u: None}
+        queue = [u]
+        for p in queue:
+            for d in sigma:
+                q = add(p, d)
+                if q not in parent and all(
+                        lo <= x <= hi for x, (lo, hi) in zip(q, box)):
+                    parent[q] = p
+                    queue.append(q)
         for w in U.points[i + 1:]:
-            path = bfs_path(u, w)
-            if path is None or len(path) < 2:
+            if w not in parent:
                 continue
-            comp = None
-            ok = True
+            path = [w]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            path.reverse()
+            # every site has one symbol support (local stationarity) and
+            # each forced bijection permutes it, so comp is never empty
+            comp = {a: a for a in range(mu.alphabet)}
             for p, q in zip(path, path[1:]):
                 f = sigma[sub(q, p)]
-                comp = f if comp is None else {
-                    a: f[b] for a, b in comp.items() if b in f}
-                if comp is not None and not comp:
-                    ok = False
-                    break
-            if not ok:
-                continue
+                comp = {a: f[b] for a, b in comp.items() if b in f}
             for (a, b) in joints[u, w].masses:
                 if comp.get(a) != b:
                     return ChainResult("refuted", (u, w), tuple(path))

@@ -11,11 +11,12 @@ from collections import defaultdict
 from fractions import Fraction
 
 from extlab import engine, harmonic
-from extlab.lattice import (Domain, EnvelopeCheck, FiniteModule, add,
+from extlab.lattice import (Domain, EnvelopeCheck, FiniteModule, add, sub,
                             translates_inside)
 from extlab.lp import (DEFAULT_PIVOT_LIMIT, FEASIBLE, INFEASIBLE,
                        LinearSystem, solve_feasibility)
-from extlab.measures import Measure
+from extlab.measures import (ChainResult, Measure, _deterministic_map,
+                             is_locally_stationary)
 
 
 def random_measure(alphabet, domain, rng, sparse=False):
@@ -548,3 +549,103 @@ def reference_compute_H(module, U, alphabet):
         for g in module.elements():
             seen.add(frozenset((module.add(c, g), e) for c, e in base))
     return len(seen)
+
+
+def reference_entropy_chain(mu, horizon):
+    """The entropy chain with an explicit edge list over the inflated box
+    and a fresh breadth-first search for every pair of sites."""
+    U = mu.domain
+    sigma = {}
+    joints = {}
+    for i, u in enumerate(U.points):
+        for w in U.points[i + 1:]:
+            joint = joints[u, w] = mu.marginal(Domain(U.dim, [u, w]))
+            f = _deterministic_map(joint)
+            if f is not None:
+                d = sub(w, u)
+                sigma[d] = f
+                sigma[tuple(-c for c in d)] = {b: a for a, b in f.items()}
+    if not sigma:
+        return ChainResult("unknown", (), ())
+
+    box = U.bounding_box()
+    ranges = [range(lo - horizon, hi + horizon + 1) for lo, hi in box]
+    nodes = set(itertools.product(*ranges))
+    graph = defaultdict(list)
+    for d in sigma:
+        for p in nodes:
+            q = add(p, d)
+            if q in nodes:
+                graph[p].append((q, d))
+
+    def bfs_path(src, dst):
+        prev = {src: None}
+        queue = [src]
+        while queue:
+            nxt = []
+            for p in queue:
+                if p == dst:
+                    path = []
+                    while p is not None:
+                        path.append(p)
+                        p = prev[p][0] if prev[p] else None
+                    return list(reversed(path))
+                for q, d in graph[p]:
+                    if q not in prev:
+                        prev[q] = (p, d)
+                        nxt.append(q)
+            queue = nxt
+        return None
+
+    for i, u in enumerate(U.points):
+        for w in U.points[i + 1:]:
+            path = bfs_path(u, w)
+            if path is None or len(path) < 2:
+                continue
+            comp = None
+            ok = True
+            for p, q in zip(path, path[1:]):
+                f = sigma[sub(q, p)]
+                comp = f if comp is None else {
+                    a: f[b] for a, b in comp.items() if b in f}
+                if comp is not None and not comp:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for (a, b) in joints[u, w].masses:
+                if comp.get(a) != b:
+                    return ChainResult("refuted", (u, w), tuple(path))
+    return ChainResult("unknown", (), ())
+
+
+def glued_chain_bases(seed, count):
+    """Locally stationary bases whose sites are glued by bijections.
+
+    Site 0 is uniform over A symbols; each of 1-3 random glue vectors g
+    carries a random permutation of site 0's symbol, and one more random
+    site is independent of the rest.  Draws that are not locally
+    stationary (two glued pairs at one difference) are dropped.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        D = rng.randint(1, 3)
+        A = rng.randint(2, 3)
+        glue = [tuple(rng.randint(-2, 2) for _ in range(D))
+                for _ in range(rng.randint(1, 3))]
+        far = tuple(rng.randint(-4, 4) for _ in range(D))
+        points = [(0,) * D] + glue + [far]
+        if len(set(points)) < len(points):
+            continue
+        perms = [rng.sample(range(A), A) for _ in glue]
+        dom = Domain(D, points)
+        mass = Fraction(1, A * A)
+        masses = {}
+        for a, b in itertools.product(range(A), repeat=2):
+            values = dict(zip(points, [a] + [p[a] for p in perms] + [b]))
+            masses[tuple(values[p] for p in dom.points)] = mass
+        mu = Measure(dom, A, masses)
+        if is_locally_stationary(mu).ok:
+            out.append(mu)
+    return out

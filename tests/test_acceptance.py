@@ -97,7 +97,7 @@ def test_criterion_04_pseudolattice():
     empt = sft_emptiness(support_word_set(mu), max_side=6)
     side_ok = all(hi - lo + 1 <= 6 for lo, hi
                   in empt.window.bounding_box()) if empt.window else False
-    rep = refute_nonextendible(mu, max_window=6, lp_cap=10 ** 4)
+    rep = refute_nonextendible(mu, max_window=6)
     ok = (is_locally_stationary(mu).ok
           and empt.status == "empty" and side_ok
           and rep.verdict == "refuted")

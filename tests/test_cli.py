@@ -452,6 +452,11 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
     # the exit code of each extlab line in order (every corpus line
     # exits 0); the CI step expects the same codes
     codes = [0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
+    # the verdict, method and window of the refutation example, which the
+    # CI step checks too
+    payloads = {"extlab refute disc.json --max-window 4": {
+        "verdict": "refuted", "method": "entropy-chain",
+        "window": [[0], [1], [2], [3]]}}
     for line in lines:
         heredoc = re.fullmatch(r"cat > (\S+) <<'EOF'", line)
         if heredoc:
@@ -463,7 +468,10 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
         code = main(shlex.split(argv)[1:])
         captured = capsys.readouterr()
         assert code == codes[len(ran)], (line, captured.err)
+        for key, want in payloads.get(line, {}).items():
+            assert json.loads(captured.out)[key] == want, (line, key)
         if out:
             Path(out).write_text(captured.out)
         ran.append(line)
     assert len(ran) == len(codes)
+    assert set(payloads) <= set(ran)

@@ -128,10 +128,11 @@ def test_polytope_drops_all_zero_stationarity_rows():
     assert system.dumps() == "var x0,0,0,0 >= 0\n" + "1*x0,0,0,0 == 1\n" * 4
 
 
-def test_polytope_cap():
+def test_polytope_cap(monkeypatch):
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", str(10 ** 4))
     mu = pseudolattice_measure()
     with pytest.raises(CapExceeded):
-        build_window_polytope(mu, Domain.box(2, 3), cap=10 ** 4)
+        build_window_polytope(mu, Domain.box(2, 3))
 
 
 def test_polytope_rejects_oversized_base():
@@ -632,8 +633,7 @@ def test_refute_disconnected_by_lp_alone():
 
 
 def test_refute_pseudolattice_by_tiling():
-    rep = refute_nonextendible(pseudolattice_measure(), max_window=6,
-                               lp_cap=10 ** 4)
+    rep = refute_nonextendible(pseudolattice_measure(), max_window=6)
     assert rep.verdict == "refuted"
     assert rep.method == "tiling"
     side = rep.window.bounding_box()

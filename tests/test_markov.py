@@ -71,6 +71,18 @@ def test_zero_denominator_gives_zero_mass():
     assert len(ext.window_measure(6).masses) == 2
 
 
+def test_unused_symbol_is_a_null_tail():
+    # symbol 2 never occurs, so a walk that conditions on it must give 0
+    # at once rather than divide 0 by its zero prefix mass
+    for L in (2, 3):
+        ext = MarkovExtension(Measure(Domain.interval(0, L - 1), 3, {
+            (0,) * L: F(1, 2), (1,) * L: F(1, 2)}))
+        assert ext.cylinder((2, 0, 0, 0)) == 0
+        assert ext.cylinder((0, 2, 2, 0, 0)) == 0
+        assert ext.cylinder((1,) * 5) == F(1, 2)
+        assert sorted(ext.window_measure(5).masses) == [(0,) * 5, (1,) * 5]
+
+
 def test_window_marginals_reproduce_base():
     rng = random.Random(8)
     for _ in range(10):

@@ -13,7 +13,8 @@ from extlab.measures import (Measure, SignedMeasure, WordSet, tv_distance,
 from extlab.corpus import disconnected_counterexample
 
 from support import (random_measure, brute_force_stationary,
-                     reference_locally_stationary, seeded_overlap_measures)
+                     reference_locally_stationary, seeded_overlap_measures,
+                     glued_chain_bases, reference_entropy_chain)
 
 
 def pair_measure(p00, p01, p10, p11):
@@ -148,6 +149,18 @@ def test_entropy_chain_refutes_disconnected():
         assert res.verdict == "refuted"
         assert res.pair == ((0,), (3,))
         assert res.path == ((0,), (1,), (2,), (3,))
+
+
+def test_entropy_chain_paths_match_reference():
+    # one breadth-first tree per site reports the same pair and the same
+    # path as a fresh search per pair, on glued bases in D = 1..3
+    refuted = 0
+    for mu in glued_chain_bases(1, 100):
+        for horizon in (1, 2, 3, 4):
+            res = entropy_chain_refute(mu, horizon)
+            assert res == reference_entropy_chain(mu, horizon)
+            refuted += res.verdict == "refuted"
+    assert refuted >= 50
 
 
 def test_entropy_chain_ignores_point_mass():
