@@ -21,6 +21,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 
@@ -31,6 +32,7 @@ from .measures import (Measure, _entropy_chain,
                        is_locally_stationary, support_word_set, word_key)
 from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                  FEASIBLE, INFEASIBLE, ABORTED, DEFAULT_PIVOT_LIMIT)
+from .symmetry import stabiliser, solve_quotient
 
 
 def _var(word):
@@ -104,7 +106,36 @@ class ExtensionPolytope:
     words: list
     system: LinearSystem
 
+    @cached_property
+    def symmetries(self):
+        """The group G of the base on the window (symmetry.stabiliser),
+        the identity first."""
+        return stabiliser(self.base, self.window)
+
     def solve(self, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT):
+        """A point of the polytope, optimal for `objective` if one is given.
+
+        In feasibility mode (no objective) with a nontrivial G, the LP
+        solved is the quotient by G (symmetry.solve_quotient): one
+        variable per G-orbit of words.  Each element of G permutes the
+        variables and maps the rows onto themselves, so it maps the
+        polytope onto itself, and the average of any point over G is a
+        point constant on the orbits.  The polytope is thus empty exactly
+        when the quotient is: an infeasible quotient is a refutation once
+        every element is checked against the full rows, and a feasible
+        one lifts to a point that is checked exactly against the full
+        system.  The pivot count is the quotient's.
+
+        An objective is not G-invariant in general, and its optimum over
+        the invariant points need not be one over the polytope, so with
+        an objective, or with a trivial G, the full system is solved.
+        vertices() also stays on the full system: a vertex of the
+        quotient lifts to an invariant point, which is in general no
+        vertex of the polytope, and most vertices are not invariant.
+        """
+        if objective is None and len(self.symmetries) > 1:
+            return solve_quotient(self.system, self.base.alphabet,
+                                  self.symmetries, pivot_limit)
         return solve_feasibility(self.system, objective, pivot_limit)
 
     def vertices(self, max_count=50, seed=0, tries=None):
@@ -667,7 +698,8 @@ def refute_nonextendible(mu, max_window=4, windows=None, node_cap=10 ** 7,
         if res.status == INFEASIBLE:
             return RefutationReport(
                 "refuted", "lp", W,
-                {"lp_digest": polytope.system.digest(), "pivots": res.pivots})
+                {"lp_digest": polytope.system.digest(), "pivots": res.pivots,
+                 "symmetries": len(polytope.symmetries)})
         if res.status == ABORTED:
             detail[f"lp {W.bounding_box()}"] = "pivot limit exceeded"
             continue

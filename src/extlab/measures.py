@@ -266,7 +266,8 @@ def entropy_metric(mu, V, W):
 class ChainResult:
     verdict: str        # "refuted" or "unknown"
     pair: tuple         # offending (u, w) pair of domain points, or ()
-    path: tuple         # chain of lattice points linking u to w, or ()
+    path: tuple         # chain of lattice points linking u to w (a closed
+                        # walk when u == w), or ()
 
 
 def _deterministic_map(joint):
@@ -286,7 +287,9 @@ def entropy_chain_refute(mu, horizon=4):
     sites at that difference vector.  Compose these forced bijections
     along paths inside the bounding box inflated by `horizon`; if two
     domain sites end up linked by a composite bijection that their own
-    joint marginal violates, no extension exists.
+    joint marginal violates, or two paths from one domain site to one
+    box node compose differently on the site's symbols, no extension
+    exists.
     """
     res = is_locally_stationary(mu)
     if not res.ok:
@@ -301,8 +304,15 @@ def _entropy_chain(mu, horizon):
     Each site u grows one breadth-first tree over the box: edges p -> p + d
     for d in the order its forced bijection was found, and a node's parent
     is the node that first reached it, so the path to every later site w
-    is a shortest one.  The reported pair is the first (u, w) in domain
-    order whose composite along that path its joint marginal violates.
+    is a shortest one.  Every node q carries the composite of the forced
+    bijections along its tree path, which X_q must equal as a function of
+    X_u.  The reported pair is the first (u, w) in domain order whose
+    composite along its tree path its joint marginal violates.  Failing
+    that, it is the first edge p -> q of some tree whose bijection,
+    composed after p's composite, disagrees with q's on the symbols of a
+    site: then the pair is (u, u) and the path the closed walk from u to
+    p, over the edge to q and back to u along q's tree path, whose
+    composite is not the identity.
     """
     U = mu.domain
     # forced bijections per difference vector
@@ -319,33 +329,44 @@ def _entropy_chain(mu, horizon):
     if not sigma:
         return ChainResult("unknown", (), ())
 
+    # every site has the same symbol support (local stationarity), and
+    # each forced bijection permutes it
+    symbols = tuple(next(iter(sigma.values())))
     box = [(lo - horizon, hi + horizon) for lo, hi in U.bounding_box()]
+    clash = None
+
+    def tree_path(parent, q):
+        path = [q]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
     for i, u in enumerate(U.points):
         parent = {u: None}
+        comp = {u: symbols}     # the symbols at each node, read off X_u
         queue = [u]
         for p in queue:
-            for d in sigma:
+            here = comp[p]
+            for d, f in sigma.items():
                 q = add(p, d)
-                if q not in parent and all(
-                        lo <= x <= hi for x, (lo, hi) in zip(q, box)):
+                if q in comp:
+                    if clash is None and comp[q] != tuple(map(f.get, here)):
+                        clash = (tree_path(parent, p)
+                                 + tree_path(parent, q)[::-1])
+                elif all(lo <= x <= hi for x, (lo, hi) in zip(q, box)):
                     parent[q] = p
+                    comp[q] = tuple(map(f.get, here))
                     queue.append(q)
         for w in U.points[i + 1:]:
             if w not in parent:
                 continue
-            path = [w]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            path.reverse()
-            # every site has one symbol support (local stationarity) and
-            # each forced bijection permutes it, so comp is never empty
-            comp = {a: a for a in range(mu.alphabet)}
-            for p, q in zip(path, path[1:]):
-                f = sigma[sub(q, p)]
-                comp = {a: f[b] for a, b in comp.items() if b in f}
+            at_w = dict(zip(symbols, comp[w]))
             for (a, b) in joints[u, w].masses:
-                if comp.get(a) != b:
-                    return ChainResult("refuted", (u, w), tuple(path))
+                if at_w[a] != b:
+                    return ChainResult("refuted", (u, w),
+                                       tuple(tree_path(parent, w)))
+    if clash is not None:
+        return ChainResult("refuted", (clash[0], clash[0]), tuple(clash))
     return ChainResult("unknown", (), ())
 
 

@@ -15,8 +15,9 @@ from extlab.lattice import (Domain, EnvelopeCheck, FiniteModule, add, sub,
                             translates_inside)
 from extlab.lp import (DEFAULT_PIVOT_LIMIT, FEASIBLE, INFEASIBLE,
                        LinearSystem, solve_feasibility)
+from extlab.markov import MarkovExtension
 from extlab.measures import (ChainResult, Measure, _deterministic_map,
-                             is_locally_stationary)
+                             is_locally_stationary, random_stationary_measure)
 
 
 def random_measure(alphabet, domain, rng, sparse=False):
@@ -648,4 +649,54 @@ def glued_chain_bases(seed, count):
         mu = Measure(dom, A, masses)
         if is_locally_stationary(mu).ok:
             out.append(mu)
+    return out
+
+
+def chain_walk_clashes(mu, pair, path):
+    """Re-compose a reported entropy chain step by step.
+
+    Each step p -> q takes its bijection from two domain sites at the
+    difference q - p whose joint support is a bijection graph, read
+    straight off the masses.  True when the walk runs from u to w and its
+    composite, started on the symbols of u, sends some symbol a to a
+    symbol other than the b the pair's joint support pairs it with (for
+    u == w, b is a itself).
+    """
+    U = mu.domain
+    u, w = pair
+    if path[0] != u or path[-1] != w or len(path) < 2:
+        return False
+
+    def joint(s, t):
+        i, j = U.index(s), U.index(t)
+        return {(word[i], word[j]) for word in mu.masses}
+
+    comp = {a: a for a, _ in joint(u, u)}
+    for p, q in zip(path, path[1:]):
+        f = None
+        for s in U.points:
+            t = add(s, sub(q, p))
+            if t in U and s != t:
+                pairs = joint(s, t)
+                if (len({a for a, _ in pairs}) == len(pairs)
+                        == len({b for _, b in pairs})):
+                    f = dict(pairs)
+                    break
+        if f is None:
+            return False
+        comp = {a: f[b] for a, b in comp.items()}
+    return any(comp[a] != b for a, b in joint(u, w))
+
+
+def extendible_marginals():
+    """The 100 marginals of Markov windows that acceptance criterion 11
+    must never refute."""
+    rng = random.Random(111)
+    out = []
+    for _ in range(100):
+        base = random_stationary_measure(2, rng.choice([1, 2]), rng)
+        w = MarkovExtension(base).window_measure(rng.choice([4, 5]))
+        sites = sorted(rng.sample(range(5), rng.randint(2, 4)))
+        sub_ = Domain(1, [(s,) for s in sites if (s,) in w.domain.points])
+        out.append(w.marginal(sub_))
     return out

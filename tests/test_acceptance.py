@@ -29,7 +29,8 @@ from extlab.corpus import (disconnected_counterexample, pseudolattice_measure,
                            binary_counter_domain, robinson_word_set,
                            ca_to_sft, eca_rule)
 
-from support import random_measure, brute_force_torus_configs
+from support import (random_measure, brute_force_torus_configs,
+                     extendible_marginals)
 
 
 def report(num, desc, ok, t0, budget):
@@ -279,14 +280,8 @@ def test_criterion_10_robinson_evidence():
 
 def test_criterion_11_soundness_guard():
     t0 = time.monotonic()
-    rng = random.Random(111)
     ok = True
-    for _ in range(100):
-        base = random_stationary_measure(2, rng.choice([1, 2]), rng)
-        w = MarkovExtension(base).window_measure(rng.choice([4, 5]))
-        sites = sorted(rng.sample(range(5), rng.randint(2, 4)))
-        sub = Domain(1, [(s,) for s in sites if (s,) in w.domain.points])
-        mu = w.marginal(sub)
+    for mu in extendible_marginals():
         if refute_nonextendible(mu, max_window=3).verdict == "refuted":
             ok = False
     report(11, "no false refutation on 100 known-extendible marginals",

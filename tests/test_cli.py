@@ -120,6 +120,18 @@ def test_refute_reports_window(write_json, capsys):
     assert json.loads(out)["verdict"] == "unknown"
 
 
+def test_refute_uniform_square_through_side_3(write_json, capsys):
+    # the 3x3 window LP is solved on its quotient by the 16 symmetries of
+    # the uniform base; without them it takes minutes
+    path = write_json("uniform.json",
+                      Measure.uniform(Domain.box(2, 2), 2).to_json_dict())
+    code, out = run(capsys, ["refute", path, "--max-window", "3"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "unknown"
+    assert data["detail"]["feasible_up_to"] == "[(0, 2), (0, 2)]"
+
+
 def test_refute_non_stationary_exits_1(write_json, capsys):
     # a valid measure that is not locally stationary has no extension
     path = write_json("skew.json", {"dim": 1, "alphabet": 2,

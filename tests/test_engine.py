@@ -667,18 +667,39 @@ def test_refute_without_a_fitting_window_is_unknown():
 
 
 def test_refute_records_capped_tableaus(monkeypatch):
-    # biased_pair's window LPs on [0..1] and [0..2] need 7 x 12 and
-    # 15 x 24 tableau entries; both windows are recorded, none decided
-    monkeypatch.setenv("EXTLAB_CAP_CELLS", "83")
+    # biased_pair is unchanged by reversal and by swapping the symbols,
+    # so each window LP is solved on its quotient by those 4 symmetries:
+    # 3 x 6 tableau entries on [0..1] and 3 x 7 on [0..2].  The cap bounds
+    # that tableau: one entry less than the first records both windows,
+    # none decided
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "17")
     rep = refute_nonextendible(biased_pair(), max_window=3)
     assert (rep.verdict, rep.window) == ("unknown", None)
     assert sorted(rep.detail) == ["lp [(0, 1)]", "lp [(0, 2)]"]
     assert all("simplex tableau needs" in v for v in rep.detail.values())
-    monkeypatch.setenv("EXTLAB_CAP_CELLS", "84")
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "18")
     rep = refute_nonextendible(biased_pair(), max_window=3)
-    assert rep.detail == {"lp [(0, 2)]": "simplex tableau needs 15 x 24 "
-                                         "= 360 entries",
+    assert rep.detail == {"lp [(0, 2)]": "simplex tableau needs 3 x 7 "
+                                         "= 21 entries",
                           "feasible_up_to": [(0, 1)]}
+
+
+def test_refute_by_lp_reports_the_lp_it_solved():
+    # X3 = 1 - X0, while X1 differs from X0 with probability 1/4.  In a
+    # stationary extension X0 != X3 needs one of the three neighbour
+    # pairs of [0..3] to differ, so 1 <= 3/4.  Only (0, 3) is glued, its
+    # flips close no cycle, and the support tiles, so only the LP refutes;
+    # it is solved on the quotient by the symbol swap
+    mu = Measure(Domain(1, [(0,), (1,), (3,)]), 2,
+                 {(0, 0, 1): F(3, 8), (1, 1, 0): F(3, 8),
+                  (0, 1, 1): F(1, 8), (1, 0, 0): F(1, 8)})
+    rep = refute_nonextendible(mu, max_window=4)
+    assert (rep.verdict, rep.method) == ("refuted", "lp")
+    assert rep.window == Domain.interval(0, 3)
+    polytope = build_window_polytope(mu, rep.window)
+    assert solve_feasibility(polytope.system).pivots == 18
+    assert rep.detail == {"lp_digest": polytope.system.digest(), "pivots": 7,
+                          "symmetries": 2}
 
 
 def test_refute_report_serializes():

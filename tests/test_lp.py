@@ -349,20 +349,22 @@ def test_simplex_results_pinned(monkeypatch):
     # recorded from the Fraction tableau; a change to the entering rule,
     # the ratio test's tie-break or the phase-1 verdict changes a pivot
     # count or a digest here
+    # the full window systems; ExtensionPolytope.solve solves their
+    # quotient (see test_window_quotient_results_pinned)
     for n, pivots, digest in ((3, 7, "a32d4399e65ac4a1"),
                               (4, 11, "9ba686069ed7446b"),
                               (5, 19, "fee479d6167f7078"),
                               (6, 35, "6024d87253b08f95")):
         mu = random_stationary_measure(2, 2, random.Random(n))
-        res = engine.build_window_polytope(
-            mu, Domain.interval(0, n - 1)).solve()
+        res = solve_feasibility(engine.build_window_polytope(
+            mu, Domain.interval(0, n - 1)).system)
         assert (res.status, res.pivots) == (FEASIBLE, pivots), n
         assert _assignment_digest(res.assignment) == digest, n
     uniform = Measure.uniform(Domain.box(2, 2), 2)
     for shape, pivots, digest in (((2, 3), 56, "d11ac49f1670b0e0"),
                                   ((3, 2), 107, "62e555669c292620")):
-        res = engine.build_window_polytope(uniform,
-                                           Domain.box(2, shape)).solve()
+        res = solve_feasibility(engine.build_window_polytope(
+            uniform, Domain.box(2, shape)).system)
         assert (res.status, res.pivots) == (FEASIBLE, pivots), shape
         assert _assignment_digest(res.assignment) == digest, shape
 
@@ -416,6 +418,37 @@ def test_simplex_results_pinned(monkeypatch):
         assert len(vs) == count, seed
         assert _digest([sorted((v, str(x)) for v, x in a.items())
                         for a in vs]) == digest, seed
+
+
+def test_window_quotient_results_pinned():
+    # ExtensionPolytope.solve on the quotient by the base's symmetries:
+    # (base, window, status, pivots, |G|, lifted-point digest)
+    uniform = Measure.uniform(Domain.box(2, 2), 2)
+    cases = [(random_stationary_measure(2, 2, random.Random(n)),
+              Domain.interval(0, n - 1), FEASIBLE, pivots, 2, digest)
+             for n, pivots, digest in ((3, 4, "0729dacf91c6b0f8"),
+                                       (4, 5, "697cffee7de0a40b"),
+                                       (5, 9, "b2c45f3c5fc168fc"),
+                                       (6, 17, "9dafc2b6a2966978"))]
+    cases += [(uniform, Domain.box(2, shape), FEASIBLE, pivots, order, digest)
+              for shape, pivots, order, digest in (
+                  ((2, 3), 6, 8, "e39603664ff1273e"),
+                  ((3, 2), 6, 8, "d551beb013e453bc"),
+                  ((2, 4), 18, 8, "4d521d6bb7670f11"),
+                  ((3, 3), 12, 16, "4e83d53450c59ce2"))]
+    cases += [
+        (disconnected_counterexample(), Domain.interval(0, 3), INFEASIBLE, 7,
+         2, "-"),
+        # no symmetry: the full system, as solve_feasibility solves it
+        (random_stationary_measure(3, 2, random.Random(1)),
+         Domain.interval(0, 4), FEASIBLE, 100, 1, "8830f6b55052ea43")]
+    for mu, W, status, pivots, order, digest in cases:
+        polytope = engine.build_window_polytope(mu, W)
+        res = polytope.solve()
+        assert (res.status, res.pivots, len(polytope.symmetries)) \
+            == (status, pivots, order), W
+        assert (_assignment_digest(res.assignment) if res.assignment
+                else "-") == digest, W
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from extlab.corpus import disconnected_counterexample
 
 from support import (random_measure, brute_force_stationary,
                      reference_locally_stationary, seeded_overlap_measures,
-                     glued_chain_bases, reference_entropy_chain)
+                     glued_chain_bases, reference_entropy_chain,
+                     chain_walk_clashes, extendible_marginals)
 
 
 def pair_measure(p00, p01, p10, p11):
@@ -153,14 +154,41 @@ def test_entropy_chain_refutes_disconnected():
 
 def test_entropy_chain_paths_match_reference():
     # one breadth-first tree per site reports the same pair and the same
-    # path as a fresh search per pair, on glued bases in D = 1..3
+    # path as a fresh search per pair, on glued bases in D = 1..3; where
+    # no pair of sites clashes, a clash of two tree paths may still refute
     refuted = 0
     for mu in glued_chain_bases(1, 100):
         for horizon in (1, 2, 3, 4):
             res = entropy_chain_refute(mu, horizon)
-            assert res == reference_entropy_chain(mu, horizon)
-            refuted += res.verdict == "refuted"
+            ref = reference_entropy_chain(mu, horizon)
+            if ref.verdict == "refuted" or res.verdict == "unknown":
+                assert res == ref
+            else:
+                assert res.pair[0] == res.pair[1]
+            refuted += ref.verdict == "refuted"
     assert refuted >= 50
+
+
+def test_entropy_chain_refutes_two_paths_that_disagree():
+    # of the glued bases that no pair of domain sites refutes at horizon
+    # 4, 32 reach one box node along two tree paths whose composites
+    # differ; each reports (u, u) and a closed walk the oracle re-composes
+    bases = glued_chain_bases(1, 400)
+    walks, unknown = 0, 0
+    for mu in bases:
+        res = entropy_chain_refute(mu, 4)
+        if res.verdict == "unknown":
+            unknown += 1
+            continue
+        assert chain_walk_clashes(mu, res.pair, res.path)
+        if res.pair[0] == res.pair[1]:
+            walks += 1
+            # the walk without its last step ends elsewhere
+            assert not chain_walk_clashes(mu, res.pair, res.path[:-1])
+    assert (len(bases), walks, unknown) == (242, 32, 155)
+    for mu in extendible_marginals():
+        for horizon in (1, 2, 3, 4):
+            assert entropy_chain_refute(mu, horizon).verdict == "unknown"
 
 
 def test_entropy_chain_ignores_point_mass():
