@@ -5,9 +5,15 @@ still-unknown searches), 1 for negative ones (refuted, infeasible,
 empty, no configuration), 2 for usage or input errors, 3 for exceeded
 resource budgets, 4 for internal errors (a failed exact re-check or any
 other unexpected exception), which are never a verdict.
+
+The argument parser is built on the first `main` call and reused by
+every later call in the process; the handler of a subcommand, e.g.
+`cmd_entropy_metric` for `entropy-metric`, is looked up by name when
+`main` runs, so a replaced module attribute is the one called.
 """
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -177,7 +183,10 @@ def cmd_corpus(args):
     return OK
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process and
+    shared by every caller, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="extlab",
         description="stationary extension problems for lattice measures")
@@ -185,46 +194,38 @@ def build_parser():
 
     p = sub.add_parser("stationary", help="check local stationarity")
     p.add_argument("measure")
-    p.set_defaults(func=cmd_stationary)
 
     p = sub.add_parser("markov", help="Markov extension window measure")
     p.add_argument("measure")
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser("periodic", help="periodic (torus) extension LP")
     p.add_argument("measure")
     p.add_argument("--period", required=True,
                    help="comma-separated periods, e.g. 4,8")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("refute", help="attempt a non-extendibility proof")
     p.add_argument("measure")
     p.add_argument("--max-window", type=int, default=4)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_refute)
 
     p = sub.add_parser("tiling", help="subshift emptiness search")
     p.add_argument("words")
     p.add_argument("--max-window", type=int, default=6)
-    p.set_defaults(func=cmd_tiling)
 
     p = sub.add_parser("perconfig", help="periodic configuration search")
     p.add_argument("words")
     p.add_argument("--period", required=True)
-    p.set_defaults(func=cmd_perconfig)
 
     p = sub.add_parser("fourier", help="Fourier coefficient table")
     p.add_argument("measure")
-    p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("entropy-metric", help="entropy distance of site sets")
     p.add_argument("measure")
     p.add_argument("--sets", required=True,
                    help='JSON pair of point lists, e.g. "[[[0]],[[3]]]"')
-    p.set_defaults(func=cmd_entropy_metric)
 
     p = sub.add_parser("corpus", help="emit a built-in instance")
     p.add_argument("name", choices=list(CORPUS))
@@ -234,15 +235,16 @@ def build_parser():
     p.add_argument("--d-reading", choices=["distinct", "typo"],
                    default="distinct")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_corpus)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.  A usage error found
+    by argparse (and --help) raises SystemExit instead."""
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (CapExceeded, SearchBudget) as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return BUDGET

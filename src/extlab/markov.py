@@ -58,7 +58,11 @@ class MarkovExtension:
 
         Builds the support by extending prefixes one site at a time, so
         the cost is proportional to the support size, not alphabet**n.
-        Raises CapExceeded as soon as that support passes cell_cap().
+        Each conditional is computed once per base word, into a table
+        from each tail in the prefix's support to its (symbol,
+        probability) pairs with nonzero probability, and every window
+        word extends through that table.  Raises CapExceeded as soon as
+        the support passes cell_cap().
         """
         if n < 1:
             raise ValueError("window length must be positive")
@@ -66,15 +70,18 @@ class MarkovExtension:
         if n <= m + 1:
             return self._prefix_marginal(n)
         cap = cell_cap()
+        # a supported word's last m symbols are supported by the prefix,
+        # as the base is locally stationary
+        steps = {}
+        for tail in self.prefix.masses:
+            row = ((a, self._step(tail, a)) for a in range(self.base.alphabet))
+            steps[tail] = [(a, p) for a, p in row if p]
         current = self.base.masses
         for _ in range(n - m - 1):
             nxt = {}
             for w, mass in current.items():
-                tail = w[len(w) - m:]
-                for a in range(self.base.alphabet):
-                    p = self._step(tail, a)
-                    if p:
-                        nxt[w + (a,)] = mass * p
+                for a, p in steps[w[len(w) - m:]]:
+                    nxt[w + (a,)] = mass * p
                 if len(nxt) > cap:
                     raise CapExceeded(f"window {n} passes {cap} words")
             current = nxt

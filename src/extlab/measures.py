@@ -47,16 +47,24 @@ def _header_to_json(domain, alphabet):
             "domain": [list(p) for p in domain.points]}
 
 
+def _field(data, name):
+    """data[name], or a ValueError that names the missing field."""
+    if name not in data:
+        raise ValueError(f"missing field {name!r}")
+    return data[name]
+
+
 def _header_from_json(data):
     """(domain, alphabet) from a JSON object, types checked."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     for name in ("dim", "alphabet"):
-        if type(data[name]) is not int or data[name] < 1:
+        value = _field(data, name)
+        if type(value) is not int or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, "
-                             f"got {data[name]!r}")
-    return (Domain(data["dim"], _integer_points(data["domain"], "domain")),
-            data["alphabet"])
+                             f"got {value!r}")
+    points = _integer_points(_field(data, "domain"), "domain")
+    return Domain(data["dim"], points), data["alphabet"]
 
 
 def _integer_points(points, what):
@@ -134,7 +142,7 @@ class SignedMeasure:
     @classmethod
     def from_json_dict(cls, data):
         domain, alphabet = _header_from_json(data)
-        masses = data["masses"]
+        masses = _field(data, "masses")
         if not isinstance(masses, dict):
             raise ValueError("masses must be a JSON object")
         return cls(domain, alphabet, {parse_word_key(key): _parse_mass(val)
@@ -403,7 +411,7 @@ class WordSet:
     @classmethod
     def from_json_dict(cls, data):
         domain, alphabet = _header_from_json(data)
-        keys = data["words"]
+        keys = _field(data, "words")
         if not isinstance(keys, list):
             raise ValueError("words must be a JSON list")
         return cls(domain, alphabet, map(parse_word_key, keys))

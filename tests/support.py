@@ -11,8 +11,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from extlab import engine, harmonic
-from extlab.lattice import (Domain, EnvelopeCheck, FiniteModule, add, sub,
-                            translates_inside)
+from extlab.lattice import (CapExceeded, Domain, EnvelopeCheck, FiniteModule,
+                            add, sub, translates_inside, cell_cap)
 from extlab.lp import (DEFAULT_PIVOT_LIMIT, FEASIBLE, INFEASIBLE,
                        LinearSystem, solve_feasibility)
 from extlab.markov import MarkovExtension
@@ -407,6 +407,50 @@ def reference_locally_stationary(mu):
             if left[b] != right[b]:
                 return False, (V.points, b, k)
     return True, ()
+
+
+def cyclic_base(alphabet, length, rng, sparse=False):
+    """A locally stationary measure on [0..length-1]: random weights on
+    words of the cycle Z/(length+2), averaged over rotations, then the
+    marginal.  With sparse, only one to three cycle words are weighted,
+    so most words of the base, and most tails, are null."""
+    period = length + 2
+    words = list(itertools.product(range(alphabet), repeat=period))
+    if sparse:
+        words = rng.sample(words, rng.randint(1, 3))
+    raw = [rng.randint(1, 4) for _ in words]
+    weights = defaultdict(int)  # of each rotation's first length symbols
+    for w, r in zip(words, raw):
+        for k in range(period):
+            weights[(w[k:] + w[:k])[:length]] += r
+    total = sum(raw) * period
+    return Measure(Domain.interval(0, length - 1), alphabet,
+                   {w: Fraction(c, total) for w, c in weights.items()})
+
+
+def reference_window_measure(ext, n):
+    """MarkovExtension.window_measure word by word: each window word
+    calls ext._step once per symbol, with no table shared between words.
+    Same masses in the same order, and CapExceeded at the same point."""
+    if n < 1:
+        raise ValueError("window length must be positive")
+    m = ext.memory
+    if n <= m + 1:
+        return ext._prefix_marginal(n)
+    cap = cell_cap()
+    current = ext.base.masses
+    for _ in range(n - m - 1):
+        nxt = {}
+        for w, mass in current.items():
+            tail = w[len(w) - m:]
+            for a in range(ext.base.alphabet):
+                p = ext._step(tail, a)
+                if p:
+                    nxt[w + (a,)] = mass * p
+            if len(nxt) > cap:
+                raise CapExceeded(f"window {n} passes {cap} words")
+        current = nxt
+    return Measure(Domain.interval(0, n - 1), ext.base.alphabet, current)
 
 
 def translate_table(periods):

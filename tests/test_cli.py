@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -449,6 +450,71 @@ def test_internal_error_exit_code(write_json, capsys, monkeypatch):
     path = write_json("good.json", biased_pair().to_json_dict())
     assert main(["stationary", path]) == 4
     assert "internal error:" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(write_json, capsys, monkeypatch):
+    # one process, every exit code: the parser is built by the first call
+    # only, and each call dispatches to the handler the module holds then
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    good = write_json("good.json", biased_pair().to_json_dict())
+    skewed = write_json("skewed.json", Measure(
+        Domain.interval(0, 1), 2, {(0, 1): F(1)}).to_json_dict())
+    disc = write_json("disc.json",
+                      disconnected_counterexample().to_json_dict())
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    code, out, err = call(["stationary", good])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["locally_stationary"] is True
+    first = out
+    code, out, err = call(["stationary", skewed])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["locally_stationary"] is False
+    code, out, err = call(["markov", good])
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --window" in err
+    code, out, err = call([])
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: command" in err
+    assert call(["tiling", disc]) == (2, "", "error: missing field 'words'\n")
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "64")
+    code, out, err = call(["markov", good, "--window", "40"])
+    assert (code, out) == (3, "")
+    assert err == "resource budget exceeded: window 40 passes 64 words\n"
+    monkeypatch.delenv("EXTLAB_CAP_CELLS")
+    dispatched, handler = [], cli.cmd_stationary
+
+    def broken(args):
+        dispatched.append(args.measure)
+        raise RuntimeError("exact re-check failed")
+
+    monkeypatch.setattr(cli, "cmd_stationary", broken)
+    code, out, err = call(["stationary", good])
+    assert (code, out, dispatched) == (4, "", [good])
+    assert err.endswith(
+        "internal error: RuntimeError: exact re-check failed\n")
+    monkeypatch.setattr(cli, "cmd_stationary", handler)
+    code, out, err = call(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: extlab")
+    assert call(["stationary", good]) == (0, first, "")
+    # one top-level parser, and no subcommand's parser built twice
+    assert built.count("extlab") == 1
+    assert len(built) == len(set(built)) == 10
 
 
 def test_readme_commands_run(capsys, monkeypatch, tmp_path):

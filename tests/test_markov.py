@@ -9,6 +9,8 @@ from extlab.measures import (Measure, is_locally_stationary,
                              finite_window_entropy, random_stationary_measure)
 from extlab.markov import MarkovExtension, entropy_rate
 
+from support import cyclic_base, reference_window_measure
+
 
 def biased_pair():
     return Measure(Domain.interval(0, 1), 2,
@@ -136,3 +138,43 @@ def test_window_support_is_capped(monkeypatch):
     assert ext.window_measure(6).masses == want.masses
     with pytest.raises(CapExceeded, match="window 7 passes 64"):
         ext.window_measure(7)
+
+
+def markov_bases(seed):
+    """(sparse, base) for memory 0 to 3 and alphabets 2 to 4, sparse and
+    full support."""
+    rng = random.Random(seed)
+    for memory in range(4):
+        for alphabet in (2, 3, 4):
+            for sparse in (True, False):
+                yield sparse, cyclic_base(alphabet, memory + 1, rng, sparse)
+
+
+def test_window_table_matches_the_per_word_chain_rule():
+    for sparse, base in markov_bases(19):
+        ext = MarkovExtension(base)
+        m, A = ext.memory, base.alphabet
+        for n in range(1, m + 7):
+            if not sparse and A ** n > 4096:
+                break
+            want = reference_window_measure(ext, n)
+            got = ext.window_measure(n)
+            assert list(got.masses.items()) == list(want.masses.items()), \
+                (base.masses, n)
+
+
+def test_window_table_caps_at_the_same_point(monkeypatch):
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "40")
+    capped = 0
+    for _, base in markov_bases(20):
+        ext = MarkovExtension(base)
+        for n in range(1, ext.memory + 7):
+            try:
+                want = reference_window_measure(ext, n).masses
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded, match=f"^{exc}$"):
+                    ext.window_measure(n)
+                capped += 1
+                break
+            assert ext.window_measure(n).masses == want
+    assert capped

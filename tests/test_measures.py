@@ -6,8 +6,9 @@ import pytest
 
 from extlab.lattice import Domain
 from extlab.measures import (Measure, SignedMeasure, WordSet, tv_distance,
-                             convex_combine, is_locally_stationary,
-                             finite_window_entropy, conditional_entropy,
+                             _header_from_json, convex_combine,
+                             is_locally_stationary, finite_window_entropy,
+                             conditional_entropy,
                              entropy_metric, entropy_chain_refute,
                              support_word_set, random_stationary_measure)
 from extlab.corpus import disconnected_counterexample
@@ -218,6 +219,41 @@ def test_json_round_trip():
         assert again.masses == mu.masses
     ws = WordSet(Domain.box(2, 2), 3, [(0, 1, 2, 0), (1, 1, 1, 1)])
     assert WordSet.from_json_dict(ws.to_json_dict()) == ws
+
+
+HEADER = {"dim": 1, "alphabet": 2, "domain": [[0]]}
+
+
+def without(data, name):
+    return {k: v for k, v in data.items() if k != name}
+
+
+def test_header_names_a_missing_field():
+    assert _header_from_json(HEADER) == (Domain(1, [(0,)]), 2)
+    for name in HEADER:
+        with pytest.raises(ValueError, match=f"^missing field '{name}'$"):
+            _header_from_json(without(HEADER, name))
+
+
+def test_measure_loader_names_a_missing_field():
+    data = {**HEADER, "masses": {"0": "1"}}
+    assert Measure.from_json_dict(data).masses == {(0,): 1}
+    for name in data:
+        with pytest.raises(ValueError, match=f"^missing field '{name}'$"):
+            Measure.from_json_dict(without(data, name))
+    # a word set is not a measure: the masses are what is missing
+    with pytest.raises(ValueError, match="^missing field 'masses'$"):
+        Measure.from_json_dict({**HEADER, "words": ["0"]})
+
+
+def test_word_set_loader_names_a_missing_field():
+    data = {**HEADER, "words": ["0"]}
+    assert WordSet.from_json_dict(data).words == {(0,)}
+    for name in data:
+        with pytest.raises(ValueError, match=f"^missing field '{name}'$"):
+            WordSet.from_json_dict(without(data, name))
+    with pytest.raises(ValueError, match="^missing field 'words'$"):
+        WordSet.from_json_dict({**HEADER, "masses": {"0": "1"}})
 
 
 def test_support_word_set():
