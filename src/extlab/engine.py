@@ -112,31 +112,29 @@ class ExtensionPolytope:
         the identity first."""
         return stabiliser(self.base, self.window)
 
-    def solve(self, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT):
-        """A point of the polytope, optimal for `objective` if one is given.
+    def solve(self, pivot_limit=DEFAULT_PIVOT_LIMIT):
+        """A point of the polytope, or the verdict that it is empty.
 
-        In feasibility mode (no objective) with a nontrivial G, the LP
-        solved is the quotient by G (symmetry.solve_quotient): one
-        variable per G-orbit of words.  Each element of G permutes the
-        variables and maps the rows onto themselves, so it maps the
-        polytope onto itself, and the average of any point over G is a
-        point constant on the orbits.  The polytope is thus empty exactly
-        when the quotient is: an infeasible quotient is a refutation once
-        every element is checked against the full rows, and a feasible
-        one lifts to a point that is checked exactly against the full
-        system.  The pivot count is the quotient's.
+        With a nontrivial G, the LP solved is the quotient by G
+        (symmetry.solve_quotient): one variable per G-orbit of words.
+        Each element of G permutes the variables and maps every row onto
+        a row up to a nonzero factor, so it maps the polytope onto
+        itself, and the average of any point over G is a point constant
+        on the orbits.  The polytope is thus empty exactly when the
+        quotient is: an infeasible quotient is a refutation once every
+        element is checked against the full rows, and a feasible one
+        lifts to a point that is checked exactly against the full
+        system.  The pivot count is the quotient's.  With a trivial G,
+        the full system is solved.
 
-        An objective is not G-invariant in general, and its optimum over
-        the invariant points need not be one over the polytope, so with
-        an objective, or with a trivial G, the full system is solved.
-        vertices() also stays on the full system: a vertex of the
-        quotient lifts to an invariant point, which is in general no
-        vertex of the polytope, and most vertices are not invariant.
+        vertices() stays on the full system: a vertex of the quotient
+        lifts to an invariant point, which is in general no vertex of
+        the polytope, and most vertices are not invariant.
         """
-        if objective is None and len(self.symmetries) > 1:
+        if len(self.symmetries) > 1:
             return solve_quotient(self.system, self.base.alphabet,
                                   self.symmetries, pivot_limit)
-        return solve_feasibility(self.system, objective, pivot_limit)
+        return solve_feasibility(self.system, pivot_limit=pivot_limit)
 
     def vertices(self, max_count=50, seed=0, tries=None):
         out = []
@@ -195,8 +193,12 @@ def _prefix_trie(words, order, alphabet):
 
     A node is an offset into the returned list; `trie[node + a]` is the
     child reached by symbol a, or 0 when no word continues.  Offset 0 is
-    a dead node and offset `alphabet` is the root.
+    a dead node and offset `alphabet` is the root.  Raises CapExceeded
+    before the list would pass cell_cap() entries.
     """
+    cap = cell_cap()
+    if 2 * alphabet > cap:
+        raise CapExceeded(f"pattern-search trie passes {cap} entries")
     trie = [0] * (2 * alphabet)
     for w in words:
         node = alphabet
@@ -204,6 +206,9 @@ def _prefix_trie(words, order, alphabet):
             child = trie[node + w[p]]
             if not child:
                 child = len(trie)
+                if child + alphabet > cap:
+                    raise CapExceeded(f"pattern-search trie passes {cap} "
+                                      "entries")
                 trie.extend([0] * alphabet)
                 trie[node + w[p]] = child
             node = child
@@ -645,7 +650,7 @@ class RefutationReport:
         }
 
 
-def refute_nonextendible(mu, max_window=4, windows=None, node_cap=10 ** 7,
+def refute_nonextendible(mu, max_window=4, node_cap=10 ** 7,
                          pivot_limit=DEFAULT_PIVOT_LIMIT):
     """Attempt to prove that mu admits no stationary extension.
 
@@ -653,9 +658,10 @@ def refute_nonextendible(mu, max_window=4, windows=None, node_cap=10 ** 7,
     witness), entropy-chain contradictions, emptiness of the subshift
     defined by the support, and exact LP infeasibility of the window
     extension polytopes over the window schedule.  Any single success is
-    a proof of non-extendibility; exhausting the schedule is not, so the
-    fallback verdict is "unknown".  A window whose polytope or simplex
-    tableau passes the cell cap is recorded in the detail and skipped.
+    a proof of non-extendibility; exhausting the schedule (the boxes of
+    side 1 to max_window) is not, so the fallback verdict is "unknown".
+    A pattern search, window polytope or simplex tableau that passes the
+    cell cap is recorded in the detail and skipped.
     """
     local = is_locally_stationary(mu)
     if not local.ok:
@@ -663,9 +669,8 @@ def refute_nonextendible(mu, max_window=4, windows=None, node_cap=10 ** 7,
                                 {"witness": local.witness})
 
     D = mu.domain.dim
-    if windows is None:
-        windows = default_window_schedule(D, max_window)
-    windows = [W for W in windows if translates_inside(mu.domain, W)]
+    windows = [W for W in default_window_schedule(D, max_window)
+               if translates_inside(mu.domain, W)]
     sides = [max(hi - lo + 1 for lo, hi in W.bounding_box())
              for W in windows] or [1]
     detail = {}
@@ -680,12 +685,16 @@ def refute_nonextendible(mu, max_window=4, windows=None, node_cap=10 ** 7,
 
     # with no scheduled window the tiling condition says nothing
     if windows:
-        empt = sft_emptiness(support_word_set(mu), windows,
-                             node_cap=node_cap)
-        if empt.status == "empty":
-            return RefutationReport("refuted", "tiling", empt.window)
-        if empt.reason:
-            detail["tiling"] = empt.reason
+        try:
+            empt = sft_emptiness(support_word_set(mu), windows,
+                                 node_cap=node_cap)
+        except CapExceeded as exc:
+            detail["tiling"] = str(exc)
+        else:
+            if empt.status == "empty":
+                return RefutationReport("refuted", "tiling", empt.window)
+            if empt.reason:
+                detail["tiling"] = empt.reason
 
     last = None
     for W in windows:

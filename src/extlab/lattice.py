@@ -235,10 +235,6 @@ class EnvelopeCheck:
     condition: str       # "" on pass/partial, else "injective" or "liftable"
     witness: tuple       # () on pass/partial, else (V points, g_tilde)
 
-    @property
-    def ok(self):
-        return self.status == "pass"
-
 
 def _lift_candidates(g_tilde, periods, spans):
     """Lattice vectors g == g_tilde mod P with |g_i| <= span_i.

@@ -58,11 +58,11 @@ class MarkovExtension:
 
         Builds the support by extending prefixes one site at a time, so
         the cost is proportional to the support size, not alphabet**n.
-        Each conditional is computed once per base word, into a table
-        from each tail in the prefix's support to its (symbol,
-        probability) pairs with nonzero probability, and every window
-        word extends through that table.  Raises CapExceeded as soon as
-        the support passes cell_cap().
+        Each conditional is computed once per supported base word, into
+        a table from each tail in the prefix's support to its (symbol,
+        probability) pairs, symbols ascending, and every window word
+        extends through that table; no other symbol is tried.  Raises
+        CapExceeded as soon as the support passes cell_cap().
         """
         if n < 1:
             raise ValueError("window length must be positive")
@@ -72,10 +72,9 @@ class MarkovExtension:
         cap = cell_cap()
         # a supported word's last m symbols are supported by the prefix,
         # as the base is locally stationary
-        steps = {}
-        for tail in self.prefix.masses:
-            row = ((a, self._step(tail, a)) for a in range(self.base.alphabet))
-            steps[tail] = [(a, p) for a, p in row if p]
+        steps = {tail: [] for tail in self.prefix.masses}
+        for w in sorted(self.base.masses):
+            steps[w[:m]].append((w[m], self._step(w[:m], w[m])))
         current = self.base.masses
         for _ in range(n - m - 1):
             nxt = {}

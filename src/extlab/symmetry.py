@@ -11,7 +11,7 @@ induces on U leaves mu unchanged.
 
 Such a pair maps stationary measures on W to stationary ones, and the
 translates of U inside W onto themselves, so it permutes the polytope's
-variables and maps each of its rows to a row or to the row's negation.
+variables and maps each of its rows to a nonzero multiple of a row.
 The average of a point over G is then a point of S(W) constant on every
 G-orbit of words, so S(W) is empty exactly when its restriction to such
 points is.  solve_quotient solves that restriction, one variable per
@@ -82,44 +82,30 @@ def _variable_map(element, alphabet, n):
     return images
 
 
-def _orbits(maps, nwords):
-    """The orbit of every word under the group the maps generate, as an
-    orbit number; orbits are numbered in the order of their least words."""
-    orbit = [-1] * nwords
-    count = 0
-    for start in range(nwords):
-        if orbit[start] < 0:
-            orbit[start] = count
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for image in maps:
-                    j = image[i]
-                    if orbit[j] < 0:
-                        orbit[j] = count
-                        stack.append(j)
-            count += 1
-    return orbit
+def _row_key(ints, rhs):
+    """An integer-form row up to a nonzero factor: divided by the gcd of
+    its integers, and signed so its least variable's coefficient is > 0."""
+    g = math.gcd(rhs, *ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return frozenset((v, c // g) for v, c in ints.items()), rhs // g
 
 
 def maps_rows_onto_rows(system, image):
     """Whether sending the i-th variable to the image[i]-th keeps the set
-    of nonnegative variables and maps every equality of the system to
-    one of its equalities or to one's negation, compared in their exact
-    integer forms."""
+    of nonnegative variables and maps every equality of the system onto
+    one of its equalities up to a nonzero factor (_row_key).  Such a map
+    permutes the classes of rows equal up to a factor, as a renaming maps
+    rows that are not multiples of each other to rows that are not
+    either, so it maps the system's solutions onto themselves."""
     names = system.variables
     rename = dict(zip(names, (names[j] for j in image)))
     if any((v in system.nonneg) != (rename[v] in system.nonneg)
            for v in names):
         return False
-    rows = {(frozenset(ints.items()), rhs)
-            for _, ints, rhs in system.equalities}
-    for _, ints, rhs in system.equalities:
-        mapped = [(rename[v], c) for v, c in ints.items()]
-        if (frozenset(mapped), rhs) not in rows and (
-                frozenset((v, -c) for v, c in mapped), -rhs) not in rows:
-            return False
-    return True
+    rows = {_row_key(ints, rhs) for _, ints, rhs in system.equalities}
+    return all(_row_key({rename[v]: c for v, c in ints.items()}, rhs) in rows
+               for _, ints, rhs in system.equalities)
 
 
 def solve_quotient(system, alphabet, group, pivot_limit):
@@ -127,27 +113,24 @@ def solve_quotient(system, alphabet, group, pivot_limit):
     points, with one variable per G-orbit of words.
 
     The system's variables are the words of A^n in product order and its
-    rows are equalities, as build_window_polytope makes them.  Each row
-    is rewritten with x_w = z_orbit(w), and a rewritten row proportional
-    to an earlier one is dropped.  A feasible point is lifted to
-    x_w = z_orbit(w) and checked exactly against the full system.
-    Before an infeasible verdict is returned, every element of the group
-    is checked to map the rows of the full system onto themselves
-    (maps_rows_onto_rows); an element that does not raises
-    AssertionError.
+    rows are equalities, as build_window_polytope makes them.  `group`
+    is all of G (stabiliser), so a word's orbit is its set of images,
+    named by the least.  Each row is rewritten with x_w = z_orbit(w),
+    and one equal to an earlier one up to a nonzero factor (_row_key) is
+    dropped.  A feasible point is lifted to x_w = z_orbit(w) and checked
+    exactly against the full system.  Before an infeasible verdict is
+    returned, every element of the group is checked by
+    maps_rows_onto_rows; an element that fails raises AssertionError.
     """
     names = system.variables
     maps = [_variable_map(h, alphabet, len(h[0])) for h in group[1:]]
-    orbit = _orbits(maps, len(names))
-    reps = []       # each orbit's least word names its variable
-    for v, o in zip(names, orbit):
-        if o == len(reps):
-            reps.append(v)
-    of = dict(zip(names, (reps[o] for o in orbit)))
+    of = {v: names[min(images)]
+          for v, images in zip(names, zip(range(len(names)), *maps))}
 
     quotient = LinearSystem()
-    for v in reps:
-        quotient.add_variable(v, nonneg=True)
+    for v in names:
+        if of[v] == v:
+            quotient.add_variable(v, nonneg=True)
     seen = set()
     for scale, ints, rhs in system.equalities:
         coeffs = {}
@@ -158,12 +141,10 @@ def solve_quotient(system, alphabet, group, pivot_limit):
         if not coeffs and rhs == 0:
             continue
         # a row proportional to an earlier one adds nothing
-        g = math.gcd(rhs, *coeffs.values())
-        key = frozenset((z, c // g) for z, c in coeffs.items()), rhs // g
+        key = _row_key(coeffs, rhs)
         if key in seen:
             continue
         seen.add(key)
-        seen.add((frozenset((z, -c) for z, c in key[0]), -key[1]))
         quotient.add_eq({z: Fraction(c, scale) for z, c in coeffs.items()},
                         Fraction(rhs, scale))
     res = solve_feasibility(quotient, pivot_limit=pivot_limit)

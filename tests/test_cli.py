@@ -406,6 +406,29 @@ def test_markov_window_cap_exit_code(write_json, capsys, monkeypatch):
     assert "window 40 passes 64 words" in capsys.readouterr().err
 
 
+def test_pattern_search_trie_cap_exit_codes(write_json, capsys):
+    # one word over 10^7 symbols: a trie node alone would hold 10^7
+    # entries, so the searches exit 3 before allocating one, and refute
+    # records the capped tiling stage and goes on to the window LPs
+    big = {"dim": 1, "alphabet": 10 ** 7, "domain": [[0], [1]]}
+    words = write_json("words.json", {**big, "words": ["0,0"]})
+    for argv in (["tiling", words, "--max-window", "2"],
+                 ["perconfig", words, "--period", "3"]):
+        assert main(argv) == 3
+        assert "trie passes 1000000 entries" in capsys.readouterr().err
+    mu = write_json("mu.json", {**big, "masses": {"0,0": "1"}})
+    code, out = run(capsys, ["refute", mu, "--max-window", "2"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "unknown"
+    assert data["detail"] == {
+        "tiling": "pattern-search trie passes 1000000 entries",
+        "lp [(0, 1)]": "window polytope needs 100000000000000 variables"}
+    code, out = run(capsys, ["markov", mu, "--window", "5"])
+    assert code == 0
+    assert json.loads(out)["measure"]["masses"] == {"0,0,0,0,0": "1"}
+
+
 def test_periodic_aborted_reason(write_json, capsys, monkeypatch):
     # the uniform pair has 16 admissible 4-cycle fillings, one past 15
     def capped(mu, periods):

@@ -346,6 +346,23 @@ def test_torus_and_window_cells_are_capped(monkeypatch):
     assert fill_window(T, Domain.interval(0, 6)) is not None
 
 
+def test_prefix_trie_is_capped(monkeypatch):
+    # the trie grows by one alphabet-wide node per new prefix; a cap one
+    # entry short of its full size stops it before that node is added
+    words = [(0, 1, 2), (0, 2, 1), (2, 2, 2)]
+    trie = engine._prefix_trie(words, (0, 1, 2), 3)
+    # the dead node, the root and the 8 nonempty prefixes
+    assert len(trie) == 3 * 10
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", str(len(trie)))
+    assert engine._prefix_trie(words, (0, 1, 2), 3) == trie
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", str(len(trie) - 1))
+    with pytest.raises(CapExceeded, match="trie passes 29 entries"):
+        engine._prefix_trie(words, (0, 1, 2), 3)
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "5")
+    with pytest.raises(CapExceeded, match="trie passes 5 entries"):
+        engine._prefix_trie(words, (0, 1, 2), 3)
+
+
 def test_periodic_extension_config_cap():
     # the uniform pair admits all 16 fillings of the 4-cycle
     mu = Measure.uniform(Domain.interval(0, 1), 2)

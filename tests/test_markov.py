@@ -178,3 +178,25 @@ def test_window_table_caps_at_the_same_point(monkeypatch):
                 break
             assert ext.window_measure(n).masses == want
     assert capped
+
+
+def test_window_table_reads_only_supported_base_words(monkeypatch):
+    # a one-word base over 10^7 symbols: one conditional, not one per
+    # symbol and tail, and the window of the same point mass over 2
+    calls = []
+    step = MarkovExtension._step
+
+    def spy(self, tail, a):
+        calls.append((tail, a))
+        return step(self, tail, a)
+    monkeypatch.setattr(MarkovExtension, "_step", spy)
+    big = Measure(Domain.interval(0, 1), 10 ** 7, {(0, 0): 1})
+    small = Measure(Domain.interval(0, 1), 2, {(0, 0): 1})
+    got = MarkovExtension(big).window_measure(5)
+    assert calls == [((0,), 0)]
+    assert got.masses == MarkovExtension(small).window_measure(5).masses
+    calls.clear()
+    base = biased_pair()
+    MarkovExtension(base).window_measure(4)
+    assert calls == [(w[:1], w[1]) for w in sorted(base.masses)]
+

@@ -127,14 +127,6 @@ def test_trivial_group_solves_the_full_system():
     assert trivial >= 15
 
 
-def test_an_objective_solves_the_full_system():
-    polytope = build_window_polytope(Measure.uniform(Domain.box(2, 2), 2),
-                                     Domain.box(2, (2, 3)))
-    objective = {v: i % 5 for i, v in enumerate(polytope.system.variables)}
-    assert polytope.solve(objective) \
-        == solve_feasibility(polytope.system, objective)
-
-
 def test_a_non_symmetry_is_refused_by_the_row_check():
     # swapping the symbols of a biased product measure is no symmetry;
     # the points it fixes give both symbols one mass, so the quotient it
@@ -149,3 +141,36 @@ def test_a_non_symmetry_is_refused_by_the_row_check():
         symmetry.solve_quotient(polytope.system, 2,
                                 polytope.symmetries + [swap],
                                 DEFAULT_PIVOT_LIMIT)
+
+
+def _compose(h, k):
+    """The element doing k, then h, as a (positions, pi) map."""
+    return (tuple(h[0][p] for p in k[0]), tuple(h[1][a] for a in k[1]))
+
+
+def _inverse(h):
+    positions, pi = [0] * len(h[0]), [0] * len(h[1])
+    for i, p in enumerate(h[0]):
+        positions[p] = i
+    for a, b in enumerate(h[1]):
+        pi[b] = a
+    return tuple(positions), tuple(pi)
+
+
+def test_stabiliser_is_a_group():
+    # solve_quotient names a word's orbit by its least image under the
+    # returned elements, which needs them to be the whole group
+    a5 = random_stationary_measure(5, 2, random.Random(2))
+    cases = seeded_quotient_cases(3) + [(a5, Domain.interval(0, n - 1))
+                                        for n in (2, 3)]
+    for mu, W in cases:
+        group = [(tuple(p), tuple(pi))
+                 for p, pi in symmetry.stabiliser(mu, W)]
+        assert group[0] == (tuple(range(len(W))), tuple(range(mu.alphabet)))
+        elements = set(group)
+        assert all(_compose(h, k) in elements
+                   for h in elements for k in elements), (mu.masses, W)
+        assert all(_inverse(h) in elements for h in elements)
+    # above A = 4 only the identity symbol map is tried
+    assert all(pi == tuple(range(5))
+               for _, pi in symmetry.stabiliser(a5, Domain.interval(0, 2)))
