@@ -76,21 +76,35 @@ def _class_lp(mu, classes, names, placements, overlaps=()):
     system.add_eq({v: len(c) for v, c in zip(names, classes)}, 1)
     for left, right in overlaps:
         rows = defaultdict(Counter)
+        read_left, read_right = _reader(left), _reader(right)
         for v, members in zip(names, classes):
-            for cfg in members:
-                rows[tuple(cfg[i] for i in left)][v] += 1
-                rows[tuple(cfg[i] for i in right)][v] -= 1
+            for b, c in zip(map(read_left, members), map(read_right, members)):
+                rows[b][v] += 1
+                rows[c][v] -= 1
         for coeffs in rows.values():
             if any(coeffs.values()):
                 system.add_eq(coeffs, 0)
+    # every member once, beside the variable of its class
+    flat = list(itertools.chain.from_iterable(classes))
+    owners = list(itertools.chain.from_iterable(
+        map(itertools.repeat, names, map(len, classes))))
     for idx in placements:
-        rows = defaultdict(Counter)
-        for v, members in zip(names, classes):
-            for cfg in members:
-                rows[tuple(cfg[i] for i in idx)][v] += 1
+        rows = defaultdict(dict)
+        for (u, v), k in Counter(zip(map(_reader(idx), flat),
+                                     owners)).items():
+            rows[u][v] = k
         for u in sorted(rows.keys() | mu.support()):
             system.add_eq(rows[u], mu[u])
     return system
+
+
+def _reader(idx):
+    """A getter reading the positions idx of a configuration as a tuple.
+    A bare itemgetter of one position returns the symbol, not a 1-tuple."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda cfg: (cfg[i],)
+    return itemgetter(*idx)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +274,12 @@ class _PatternSearch:
 
         With `collect` (a list), gathers every solution instead, in
         lexicographic order, up to config_cap.  Each symbol tried counts
-        as one node.  Raises SearchBudget when a cap is exceeded.
+        as one node.  Raises SearchBudget when a cap is exceeded.  A
+        search with no steps collects through _collect_every_filling,
+        which gives the same fillings and raises the same budget.
         """
+        if collect is not None and self.nslots == 1:
+            return self._collect_every_filling(node_cap, collect, config_cap)
         n, alphabet, steps = self.ncells, self.alphabet, self.steps
         values = [-1] * n     # -1: no symbol tried yet at this cell
         node_at = [0] * self.nslots
@@ -292,6 +310,37 @@ class _PatternSearch:
                 node_at[slot] = node
             else:
                 i += 1
+        return None
+
+    def _collect_every_filling(self, node_cap, collect, config_cap):
+        """run(collect=...) for a search with no steps, which prunes
+        nothing, worked out by arithmetic before anything is listed.
+
+        The solutions are all A^n fillings of the n cells, A the
+        alphabet, and the loop reaches filling k (0-based, in
+        lexicographic order) after sum_j (floor(k / A^(n-j)) + 1) nodes,
+        j = 1..n: one per prefix of length j not after that filling's
+        own.  The last filling it reaches is k = A^n - 1, or k =
+        config_cap, where it raises, when A^n passes config_cap; it
+        raises the node budget instead when reaching k takes more than
+        node_cap nodes.  The test of A^n against a cap forms no power of
+        A past the cap's bit length.
+        """
+        n, alphabet = self.ncells, self.alphabet
+        # without config_cap, A^n past node_cap is past the node budget
+        bound = node_cap if config_cap is None else config_cap
+        over = (alphabet >= 2 and n > bound.bit_length()
+                or alphabet ** n > bound)
+        last = bound if over else alphabet ** n - 1
+        nodes, power = n, 1
+        while power <= last:      # a term with A^(n-j) > last adds its 1
+            nodes += last // power
+            power *= alphabet
+        if nodes > node_cap:
+            raise SearchBudget("node budget exceeded")
+        if over and config_cap is not None:
+            raise SearchBudget("too many admissible configurations")
+        collect.extend(itertools.product(range(alphabet), repeat=n))
         return None
 
 
@@ -517,12 +566,12 @@ def _orbit_partition(configs, module):
         return []
     steps = _unit_steps(module.periods)
     orbits = []
-    pool = set(configs)
+    done = set()
     for cfg in configs:
-        if cfg in pool:
+        if cfg not in done:
             orbit = _translates(cfg, steps)
             orbits.append(sorted(orbit))
-            pool.difference_update(orbit)
+            done.update(orbit)
     return orbits
 
 
@@ -590,11 +639,14 @@ def pullback_periodic(result, W):
     reads = _placements(W, cells, cells.points, module.quotient)
     # int numerators over one denominator: lcm(mass denominators) * |cells|
     lcm = math.lcm(*(mass.denominator for _, _, mass in result.orbits))
+    least = [cfg for cfg, _, _ in result.orbits]
+    shares = [mass.numerator * (lcm // mass.denominator) * size
+              for _, size, mass in result.orbits]
     out = defaultdict(int)
-    for cfg, size, mass in result.orbits:
-        share = mass.numerator * (lcm // mass.denominator) * size
-        for idx in reads:
-            out[tuple(cfg[i] for i in idx)] += share
+    # (word, share) pairs counted over every read of every orbit at once
+    for (u, share), k in Counter(itertools.chain.from_iterable(
+            zip(map(_reader(idx), least), shares) for idx in reads)).items():
+        out[u] += share * k
     den = lcm * len(cells)
     return Measure(W, result.alphabet,
                    {w: Fraction(n, den) for w, n in out.items()})

@@ -118,11 +118,18 @@ def _reduce(row):
     return [x // g for x in row] if g > 1 else row
 
 
+def _exact(x):
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def _int_row(coeffs, rhs):
     """A constraint times the lcm of its denominators, its integer form
-    (scale, {variable: int coefficient}, int rhs); zeros are dropped."""
-    coeffs = {v: Fraction(c) for v, c in coeffs.items()}
-    rhs = Fraction(rhs)
+    (scale, {variable: int coefficient}, int rhs); zeros are dropped.
+
+    Ints, bools and Fractions are read through their own numerator and
+    denominator; any other value (a str, a float) is made a Fraction."""
+    coeffs = {v: _exact(c) for v, c in coeffs.items()}
+    rhs = _exact(rhs)
     scale = math.lcm(rhs.denominator,
                      *(c.denominator for c in coeffs.values()))
     return (scale,

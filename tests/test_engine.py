@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,9 @@ def test_polytope_digests_are_pinned():
          "156b12f84c4f5229"),
         (disconnected_counterexample(), Domain.interval(0, 3),
          "7a6e3ad2b18875bf"),
+        # a 1-site base: every placement and overlap side reads one cell
+        (Measure.uniform(Domain.box(1, 1), 2), Domain.interval(0, 2),
+         "b4a9227e12c1e33f"),
     ]
     for mu, W, digest in cases:
         assert build_window_polytope(mu, W).system.digest() == digest
@@ -372,8 +376,46 @@ def test_periodic_extension_config_cap():
     assert "too many admissible configurations" in res.reason
 
 
+@pytest.mark.parametrize("config_cap, node_cap, reason",
+                         [(15, 30, "too many admissible configurations"),
+                          (15, 29, "node budget exceeded"),
+                          (16, 29, "node budget exceeded"),
+                          (16, 30, None)])
+def test_full_word_set_budget_pins(config_cap, node_cap, reason):
+    # a word set holding every word prunes nothing: the loop reaches the
+    # 16th filling of 4 cells after 2 + 4 + 8 + 16 = 30 nodes, and it
+    # lists all 16 in those 30 nodes
+    T = support_word_set(Measure.uniform(Domain.interval(0, 1), 2))
+    if reason is None:
+        assert enumerate_periodic_configs(T, (4,), node_cap, config_cap) \
+            == list(itertools.product(range(2), repeat=4))
+    else:
+        with pytest.raises(SearchBudget, match=reason):
+            enumerate_periodic_configs(T, (4,), node_cap, config_cap)
+
+
+def test_full_word_set_aborts_at_once():
+    # 2^1000 fillings pass config_cap; the budget that stops the search is
+    # known before any filling is listed
+    mu = Measure.uniform(Domain.box(1, 1), 2)
+    start = time.perf_counter()
+    res = periodic_extension(mu, (1000,))
+    assert time.perf_counter() - start < 1
+    assert (res.status, res.reason) \
+        == (ABORTED, "too many admissible configurations")
+
+
 # ---------------------------------------------------------------------------
 # periodic extensions
+
+
+def test_one_site_torus_orbits():
+    # a 1-site base reads one cell per placement: the 8 fillings of the
+    # 3-cycle fall into 4 orbits of equal mass per member
+    res = periodic_extension(Measure.uniform(Domain.box(1, 1), 2), (3,))
+    assert res.orbits == [((0, 0, 0), 1, F(1, 8)), ((0, 0, 1), 3, F(1, 8)),
+                          ((0, 1, 1), 3, F(1, 8)), ((1, 1, 1), 1, F(1, 8))]
+    assert res.config_count == 8
 
 
 def test_uniform_product_torus():

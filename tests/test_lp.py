@@ -225,6 +225,15 @@ def test_dumps_renders_the_fraction_rows(monkeypatch):
     assert min(kinds.values()) > 10, kinds
 
 
+def test_int_row_reads_mixed_values():
+    # ints, bools and Fractions are read as they are, a str through
+    # Fraction; a zero coefficient is dropped
+    coeffs = {"a": 2, "b": F(1, 3), "c": "1/2", "d": 0, "e": True}
+    row = lp._int_row(coeffs, F(5, 6))
+    assert row == (6, {"a": 12, "b": 2, "c": 3, "e": 6}, 5)
+    assert all(type(x) is int for x in (row[0], *row[1].values(), row[2]))
+
+
 def test_unknown_variable_stores_no_row():
     s = simple_system([[1, 1]], [1], 2)
     text = s.dumps()
