@@ -248,7 +248,7 @@ def main(argv=None):
     except (CapExceeded, SearchBudget) as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return BUDGET
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except Exception as exc:

@@ -150,12 +150,11 @@ class ExtensionPolytope:
                                   self.symmetries, pivot_limit)
         return solve_feasibility(self.system, pivot_limit=pivot_limit)
 
-    def vertices(self, max_count=50, seed=0, tries=None):
-        out = []
-        for assignment in enumerate_vertices(self.system, max_count, seed,
-                                             tries):
-            out.append(self.to_measure(assignment))
-        return out
+    def vertices(self, max_count=50, seed=0):
+        """Up to max_count distinct vertices of the polytope, as measures
+        on the window, found by lp.enumerate_vertices with this seed."""
+        return [self.to_measure(assignment) for assignment
+                in enumerate_vertices(self.system, max_count, seed)]
 
     def to_measure(self, assignment):
         masses = {w: assignment[_var(w)] for w in self.words
@@ -366,36 +365,39 @@ def default_window_schedule(dim, max_side):
 
 @dataclass(frozen=True)
 class EmptinessResult:
+    """An emptiness verdict.  `window` is the empty window, or else the
+    largest window filled: the first window that fits, when the search
+    passed its node budget there (the reason names the budget)."""
+
     status: str        # "empty" or "unknown"
-    window: Domain     # the empty window, or the largest one checked
-    witness: dict      # admissible filling of the largest window, if any
+    window: Domain
     reason: str = ""
 
 
-def sft_emptiness(T, windows=None, max_side=6, node_cap=10 ** 7):
-    """Search for a window with no admissible configuration.
+def sft_emptiness(T, max_side=6, node_cap=10 ** 7):
+    """Search the boxes of side 1 to max_side for a window with no
+    admissible configuration; a box that admits no translate of the
+    word-set domain is skipped, and ValueError is raised if every box is.
 
     Finding one proves the subshift defined by T is empty; otherwise the
     question stays open ("unknown") at this window schedule.
     """
-    if windows is None:
-        windows = default_window_schedule(T.domain.dim, max_side)
-    witness, last = None, None
-    for W in windows:
+    last = None
+    for W in default_window_schedule(T.domain.dim, max_side):
         if not translates_inside(T.domain, W):
             continue
         try:
             filled = fill_window(T, W, node_cap)
         except SearchBudget as exc:
-            return EmptinessResult("unknown", last or W, witness or {},
+            return EmptinessResult("unknown", last or W,
                                    f"search budget: {exc}")
         if filled is None:
-            return EmptinessResult("empty", W, {})
-        witness, last = filled, W
+            return EmptinessResult("empty", W)
+        last = W
     if last is None:
         raise ValueError("no window in the schedule admits a translate "
                          "of the word-set domain")
-    return EmptinessResult("unknown", last, witness)
+    return EmptinessResult("unknown", last)
 
 
 def _cell_domain(module):
@@ -723,11 +725,10 @@ def refute_nonextendible(mu, max_window=4, node_cap=10 ** 7,
     D = mu.domain.dim
     windows = [W for W in default_window_schedule(D, max_window)
                if translates_inside(mu.domain, W)]
-    sides = [max(hi - lo + 1 for lo, hi in W.bounding_box())
-             for W in windows] or [1]
     detail = {}
 
-    chain = _entropy_chain(mu, horizon=max(sides) - 1 or 1)
+    # the largest window that fits, if any, has side max_window
+    chain = _entropy_chain(mu, max(max_window - 1, 1) if windows else 1)
     if chain.verdict == "refuted":
         box = Domain(D, chain.path + mu.domain.points).bounding_box()
         W = Domain.box(D, tuple(hi - lo + 1 for lo, hi in box),
@@ -738,8 +739,7 @@ def refute_nonextendible(mu, max_window=4, node_cap=10 ** 7,
     # with no scheduled window the tiling condition says nothing
     if windows:
         try:
-            empt = sft_emptiness(support_word_set(mu), windows,
-                                 node_cap=node_cap)
+            empt = sft_emptiness(support_word_set(mu), max_window, node_cap)
         except CapExceeded as exc:
             detail["tiling"] = str(exc)
         else:

@@ -24,6 +24,9 @@ import math
 from .lattice import (CapExceeded, cell_cap, translates_inside, _overlaps,
                       _placements)
 
+# the largest coefficient gap the checks below read as agreement
+TOL = 1e-9
+
 
 def all_characters(domain, alphabet):
     """The exponent words of the window, in itertools.product order."""
@@ -119,7 +122,7 @@ def parseval_residual(mu):
     return abs(lhs - rhs)
 
 
-def check_stationarity_fourier(mu, tol=1e-9):
+def check_stationarity_fourier(mu):
     """Local stationarity via coefficient agreement along translates.
 
     For each character and each lattice shift keeping its nonzero
@@ -127,7 +130,8 @@ def check_stationarity_fourier(mu, tol=1e-9):
     mirrors the exact marginal-overlap criterion.  A character moves by
     k when those positions lie in the overlap's `left` positions (to
     `right`), and by -k when they lie in `right`.  Both coefficients are
-    read from one table.  Returns (ok, witness) with witness (chi, k).
+    read from one table; they agree when they differ by at most TOL.
+    Returns (ok, witness) with witness (chi, k).
     """
     coeffs = fourier_transform(mu)
     shifts = []
@@ -141,18 +145,19 @@ def check_stationarity_fourier(mu, tol=1e-9):
             continue
         for k, move in shifts:
             if support <= move.keys():
-                if abs(base - coeffs[_place(chi, move, len(chi))]) > tol:
+                if abs(base - coeffs[_place(chi, move, len(chi))]) > TOL:
                     return False, (chi, k)
     return True, ()
 
 
-def check_extension_fourier(base, ext, tol=1e-9):
+def check_extension_fourier(base, ext):
     """Marginal agreement of ext with base on every translate, in frequency.
 
     For each character of the base window U and each translate U + t
     inside the extension window, the extension's coefficient at the
     character placed on the positions of U + t must match the base
-    coefficient.  Returns (ok, witness) with witness (chi, t).
+    coefficient to within TOL.  Returns (ok, witness) with witness
+    (chi, t).
     """
     if base.alphabet != ext.alphabet:
         raise ValueError("alphabet mismatch")
@@ -163,6 +168,6 @@ def check_extension_fourier(base, ext, tol=1e-9):
         want = fourier_coeff(base, chi)
         for t, move in places:
             got = fourier_coeff(ext, _place(chi, move, len(W)))
-            if abs(want - got) > tol:
+            if abs(want - got) > TOL:
                 return False, (chi, t)
     return True, ()

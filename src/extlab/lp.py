@@ -364,27 +364,26 @@ def solve_feasibility(system, objective=None, pivot_limit=DEFAULT_PIVOT_LIMIT,
     return _phase2(system, tab, cols, objective, pivot_limit)
 
 
-def enumerate_vertices(system, max_count=50, seed=0, tries=None,
+def enumerate_vertices(system, max_count=50, seed=0,
                        pivot_limit=DEFAULT_PIVOT_LIMIT):
-    """Collect distinct vertices by optimizing random rational objectives.
+    """Collect up to max_count distinct vertices by optimizing at most
+    8 * max_count random rational objectives.
 
     Deterministic for a fixed seed.  For a bounded polytope every vertex
     is the unique optimum of some objective, so with enough tries this
-    finds them all; no completeness is promised for a fixed try budget.
+    would find them all; the fixed try budget promises no completeness.
     Phase 1 runs once; each try runs phase 2 on a copy of its tableau,
     phase 1's pivots counted, exactly as solve_feasibility would.
     """
     rng = random.Random(seed)
-    if tries is None:
-        tries = 8 * max_count
-    if min(tries, max_count) <= 0:
+    if max_count <= 0:
         return []
     status, tab, cols = _phase1(system, pivot_limit)
     if status != FEASIBLE:
         return []
     vertices = []
     seen = set()
-    for _ in range(tries):
+    for _ in range(8 * max_count):
         if len(vertices) >= max_count:
             break
         objective = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))

@@ -398,12 +398,6 @@ class WordSet:
         object.__setattr__(self, "alphabet", int(alphabet))
         object.__setattr__(self, "words", frozenset(clean))
 
-    def __len__(self):
-        return len(self.words)
-
-    def __contains__(self, w):
-        return tuple(w) in self.words
-
     def to_json_dict(self):
         return {**_header_to_json(self.domain, self.alphabet),
                 "words": sorted(word_key(w) for w in self.words)}
@@ -425,17 +419,15 @@ def support_word_set(mu):
 # random locally stationary inputs (used heavily by the test suite)
 
 
-def random_stationary_measure(alphabet, length, rng, period=None):
+def random_stationary_measure(alphabet, length, rng):
     """A random exact locally stationary measure on the interval [0..length-1].
 
-    Draw random rational masses on words around a cycle Z/period and
-    symmetrize over rotation; the pullback to Z is stationary, and its
-    marginal on any interval is exactly locally stationary.
+    Draw random rational masses on words around a cycle Z/period, period
+    = length + 2, and symmetrize over rotation; the pullback to Z is
+    stationary, and its marginal on any interval is exactly locally
+    stationary.
     """
-    if period is None:
-        period = length + 2
-    if period < length:
-        raise ValueError("period must be at least the interval length")
+    period = length + 2
     words = list(itertools.product(range(alphabet), repeat=period))
     raw = {}
     total = 0

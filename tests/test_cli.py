@@ -175,6 +175,16 @@ def test_empty_word_domain_is_an_input_error(write_json, capsys):
     assert main(["tiling", path]) == 2
 
 
+def test_tiling_without_a_fitting_window_is_an_input_error(write_json,
+                                                           capsys):
+    # the pseudolattice support's 2x2 word domain fits in no 1x1 window
+    path = write_json("ps.json", corpus.pseudolattice_support().to_json_dict())
+    assert main(["tiling", path, "--max-window", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: no window in the schedule admits a translate of the "
+            "word-set domain\n")
+
+
 def test_perconfig_deep_torus(write_json, capsys):
     # 1600 cells, one search level each: deeper than Python's default
     # recursion limit of 1000

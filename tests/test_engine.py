@@ -405,6 +405,37 @@ def test_full_word_set_aborts_at_once():
         == (ABORTED, "too many admissible configurations")
 
 
+def golden_mean_thirds():
+    # a base with the golden_mean support, so its torus search prunes
+    return Measure(Domain.interval(0, 1), 2,
+                   {(0, 0): F(1, 3), (0, 1): F(1, 3), (1, 0): F(1, 3)})
+
+
+def test_pruned_search_config_cap():
+    # the golden mean fills the 8-cycle in 47 ways (the Lucas number L_8);
+    # the search lists them all under config_cap 47 and stops at the 47th
+    # under 46
+    mu = golden_mean_thirds()
+    T = support_word_set(mu)
+    configs = enumerate_periodic_configs(T, (8,), config_cap=47)
+    assert len(configs) == len(set(configs)) == 47
+    assert all(not (c[i] and c[(i + 1) % 8]) for c in configs
+               for i in range(8))
+    with pytest.raises(SearchBudget,
+                       match="too many admissible configurations"):
+        enumerate_periodic_configs(T, (8,), config_cap=46)
+    # an aborted search reports no count, not an empty admissible set
+    res = periodic_extension(mu, (8,), config_cap=46)
+    assert (res.status, res.reason, res.config_count) \
+        == (ABORTED, "too many admissible configurations", 0)
+    assert res.torus_measure is None
+    assert periodic_extension(mu, (8,), config_cap=47).status == FEASIBLE
+    # an infeasible torus has no measure either
+    res = periodic_extension(binary_counter_measure(3), (4, 2))
+    assert res.status == INFEASIBLE
+    assert res.torus_measure is None
+
+
 # ---------------------------------------------------------------------------
 # periodic extensions
 
@@ -723,6 +754,21 @@ def test_refute_without_a_fitting_window_is_unknown():
     rep = refute_nonextendible(mu, max_window=1)
     assert (rep.verdict, rep.method, rep.window) == ("unknown", "", None)
     assert rep.detail == {}
+
+
+def test_refute_records_its_search_and_pivot_budgets():
+    # the golden-mean base is not refuted through side 3; a node budget of
+    # 1 stops the tiling search on its first window and the LP stage still
+    # runs, and a pivot limit of 0 aborts every window LP
+    mu = golden_mean_thirds()
+    rep = refute_nonextendible(mu, max_window=3, node_cap=1)
+    assert (rep.verdict, rep.window) == ("unknown", Domain.interval(0, 2))
+    assert rep.detail == {"tiling": "search budget: node budget exceeded",
+                          "feasible_up_to": [(0, 2)]}
+    rep = refute_nonextendible(mu, max_window=3, pivot_limit=0)
+    assert (rep.verdict, rep.window) == ("unknown", None)
+    assert rep.detail == {"lp [(0, 1)]": "pivot limit exceeded",
+                          "lp [(0, 2)]": "pivot limit exceeded"}
 
 
 def test_refute_records_capped_tableaus(monkeypatch):
