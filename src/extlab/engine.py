@@ -273,9 +273,11 @@ class _PatternSearch:
 
         With `collect` (a list), gathers every solution instead, in
         lexicographic order, up to config_cap.  Each symbol tried counts
-        as one node.  Raises SearchBudget when a cap is exceeded.  A
-        search with no steps collects through _collect_every_filling,
-        which gives the same fillings and raises the same budget.
+        as one node; a search that returns from the loop, or stops there
+        at config_cap, leaves its count in `nodes`.  Raises SearchBudget
+        when a cap is exceeded.  A search with no steps collects through
+        _collect_every_filling, which gives the same fillings and raises
+        the same budget.
         """
         if collect is not None and self.nslots == 1:
             return self._collect_every_filling(node_cap, collect, config_cap)
@@ -287,9 +289,11 @@ class _PatternSearch:
         while i >= 0:
             if i == n:
                 if collect is None:
+                    self.nodes = nodes
                     return tuple(values)
                 collect.append(tuple(values))
                 if config_cap is not None and len(collect) > config_cap:
+                    self.nodes = nodes
                     raise SearchBudget("too many admissible configurations")
                 i -= 1
                 continue
@@ -309,6 +313,7 @@ class _PatternSearch:
                 node_at[slot] = node
             else:
                 i += 1
+        self.nodes = nodes
         return None
 
     def _collect_every_filling(self, node_cap, collect, config_cap):
@@ -363,6 +368,19 @@ def default_window_schedule(dim, max_side):
     return [Domain.box(dim, n) for n in range(1, max_side + 1)]
 
 
+def _fitting_windows(U, max_side):
+    """The boxes of default_window_schedule that hold a translate of U:
+    a box of side n does exactly when n is at least every extent of U's
+    bounding box.  An empty U raises ValueError, as translates_inside
+    does, unless the schedule is empty."""
+    boxes = default_window_schedule(U.dim, max_side)
+    if not boxes:
+        return boxes
+    if not U.points:
+        raise ValueError("empty translate pattern")
+    return boxes[max((hi - lo for lo, hi in U.bounding_box()), default=0):]
+
+
 @dataclass(frozen=True)
 class EmptinessResult:
     """An emptiness verdict.  `window` is the empty window, or else the
@@ -383,9 +401,7 @@ def sft_emptiness(T, max_side=6, node_cap=10 ** 7):
     question stays open ("unknown") at this window schedule.
     """
     last = None
-    for W in default_window_schedule(T.domain.dim, max_side):
-        if not translates_inside(T.domain, W):
-            continue
+    for W in _fitting_windows(T.domain, max_side):
         try:
             filled = fill_window(T, W, node_cap)
         except SearchBudget as exc:
@@ -424,19 +440,27 @@ def _fill_order(domain, periods):
     return sorted(key, key=key.get)
 
 
-def _torus_search(T, periods):
-    """The torus cells in module.elements() order, the pattern search
-    over them in fill order (see _fill_order), and a getter that reads a
-    filling back in cell order, or None when the fill order is the cell
-    order.  A word set holding every word prunes nothing, so its search
-    keeps the cell order.  An empty word domain raises ValueError, as it
-    does in the window searches (translates_inside)."""
+def _torus_module(T, periods):
+    """The module of the periods, after the checks of every torus
+    search: an empty word domain raises ValueError, as it does in the
+    window searches (translates_inside), and so does a period vector of
+    the wrong dimension; a torus past the cell cap raises CapExceeded."""
     if not T.domain.points:
         raise ValueError("empty word-set domain")
     module = FiniteModule(periods)
     if module.dim != T.domain.dim:
         raise ValueError("period vector dimension mismatch")
     _check_cells(module.size, "torus")
+    return module
+
+
+def _torus_search(T, periods):
+    """The torus cells in module.elements() order, the pattern search
+    over them in fill order (see _fill_order), and a getter that reads a
+    filling back in cell order, or None when the fill order is the cell
+    order.  A word set holding every word prunes nothing, so its search
+    keeps the cell order."""
+    module = _torus_module(T, periods)
     cells = _cell_domain(module)
     placements = _placements(T.domain, cells, cells.points, module.quotient)
     back = None
@@ -484,12 +508,185 @@ def periodic_config_search(T, periods, node_cap=10 ** 7):
 def enumerate_periodic_configs(T, periods, node_cap=10 ** 7,
                                config_cap=10 ** 6):
     """All admissible torus configurations, as tuples over the cells in
-    module.elements() order, sorted lexicographically whatever the fill
-    order."""
+    module.elements() order, sorted lexicographically.
+
+    A word set holding every word admits all A^n fillings, which
+    _collect_every_filling lists.  Any other word set is listed as the
+    closed walks over its admissible strips (_strip_walk), which count
+    the fillings before listing any.  SearchBudget is raised when the
+    count passes config_cap or the work passes node_cap nodes.
+    """
+    module = _torus_module(T, periods)
+    if len(T.words) < T.alphabet ** len(T.domain):
+        return _strip_walk(T, module, node_cap, config_cap)
+    return _fill_torus(T, periods, node_cap, config_cap)
+
+
+def _fill_torus(T, periods, node_cap, config_cap):
+    """enumerate_periodic_configs by the pattern search over every
+    torus cell in fill order, read back into module order and sorted."""
     _, search, back = _torus_search(T, periods)
     out = []
     search.run(node_cap, collect=out, config_cap=config_cap)
     return sorted(map(back, out)) if back else out
+
+
+def _strip_walk(T, module, node_cap, config_cap):
+    """The admissible fillings of the torus for a word set that prunes,
+    as closed walks over admissible strips (Lind and Marcus 1995, 2.2:
+    the periodic points of a shift of finite type are closed walks in
+    its transfer graph).
+
+    Let a be the first axis of _fill_order (axis 0 when every period is
+    1), P its period, e the extent of the word domain U along a, lo its
+    least a-coordinate, and slice j the m = n / P cells with
+    a-coordinate j, in module order of the other axes.  A strip is e
+    slices stacked along a, not wrapped along a and wrapped on the other
+    axes.  Its placements are U shifted by -lo along a and by every
+    residue r of the other axes.
+
+    Claim: a filling with slices x_0, ..., x_(P-1) is admissible if and
+    only if each window x_k, ..., x_(k+e-1), indices mod P, is an
+    admissible strip.  The torus placement U + t reads slice k + j mod
+    P at the cells where the strip placement of residue r (t without
+    its a-coordinate) reads slice j, for j = 0..e-1 and k = lo + t_a mod
+    P; as t runs over the torus, (k, r) runs over every window and every
+    strip placement.
+
+    So the fillings are the closed walks of P steps in the graph whose
+    states are the (e-1)-slice tuples and whose edges are the strips,
+    the strip y_0, ..., y_(e-1) leading from y_0, ..., y_(e-2) to y_1,
+    ..., y_(e-1).  A walk of P steps from y_0, ..., y_(e-2) appends
+    y_(e-1), ..., y_(P+e-2), and it is closed when y_(P+j) = y_j for
+    j < e - 1.  Every i with i + P <= P + e - 2 has i < e - 1, so the
+    closed walk's whole sequence has period P, and its P strips are the
+    windows of the filling y_0, ..., y_(P-1).  Conversely a filling's
+    windows are a closed walk from its first e - 1 slices, so fillings
+    and closed walks correspond one to one.  Every strip of a closed
+    walk thus has period P; when e > P only those are listed, by one
+    pattern search over min(e, P) slices with strip slice j read at
+    slice j mod P, and when e - 1 > P a start state repeats with period
+    P inside itself.
+
+    For each start s, c_r(v), the number of walks of r steps from v to
+    s, is computed in exact ints for each v that s reaches in P - r
+    steps: c_0(v) is 1 if v = s, else 0, and c_r(v) is the sum of
+    c_(r-1)(w) over the edges v -> w.  The sum of c_P(s) over the starts
+    is the number of fillings, known before any is listed; past
+    config_cap it raises SearchBudget.  The walk takes a step to w with
+    r steps left only when c_(r-1)(w) > 0, so no prefix is a dead end.
+    After P - (e - 1) steps the other e - 1 are forced, as they append
+    the start's slices, so they are not branched over.  Starts are taken
+    in sorted order and each state's edges in order of the slice they
+    append, so the walk lists the fillings in slice order: module order
+    when a = 0.  Otherwise they are read back into module order and
+    sorted.
+
+    Each strip search node and each walk step costs one node of
+    node_cap, and the count costs S P E nodes, a bound on its edge
+    terms, for S states (those that begin a strip) and E strips.  As a
+    state begins at most A^m strips, S >= E / A^m.  When the count
+    would pass node_cap, found once the strip search passes the number
+    of strips that bound allows or once S and E are known, the torus is
+    filled cell by cell instead (_fill_torus), with the nodes the strip
+    search left.
+    """
+    periods, n = module.periods, module.size
+    a = (_fill_order(T.domain, periods) or [0])[0]
+    P = periods[a]
+    m = n // P
+    lo, hi = T.domain.bounding_box()[a]
+    e = hi - lo + 1
+    # strip cell j * m + at[r]: slice j mod P, residue r of the other axes
+    rest = periods[:a] + periods[a + 1:]
+    at = {r: i for i, r in enumerate(itertools.product(*map(range, rest)))}
+    placements = [[(u[a] - lo) % P * m + at[tuple(
+        (x + t) % p for x, t, p in zip(u[:a] + u[a + 1:], r, rest))]
+        for u in T.domain.points] for r in at]
+    search = _PatternSearch(T.alphabet, min(e, P) * m, placements, T.words)
+    strips = []
+    # S P E <= node_cap needs P E <= node_cap and P E^2 <= node_cap A^m
+    # (A^m capped once it passes node_cap // P)
+    most = node_cap // P
+    cap = min(most, math.isqrt(
+        most * T.alphabet ** min(m, most.bit_length())))
+    try:
+        search.run(node_cap, collect=strips, config_cap=cap)
+    except SearchBudget:
+        if len(strips) <= cap:     # the node budget, not the strip cap
+            raise
+        return _fill_torus(T, periods, node_cap - search.nodes, config_cap)
+    if e > P:
+        strips = [(x * e)[:e * m] for x in strips]
+
+    k = (e - 1) * m      # symbols in a state
+    ids = {}             # state -> number, in sorted order
+    for strip in strips:
+        ids.setdefault(strip[:k], len(ids))
+    edges = [[] for _ in ids]     # per state: (appended slice, next state)
+    for strip in strips:
+        w = ids.get(strip[m:])
+        if w is not None:
+            edges[ids[strip[:k]]].append((strip[k:], w))
+    nodes = search.nodes + len(ids) * P * len(strips)
+    if nodes > node_cap:
+        return _fill_torus(T, periods, node_cap - search.nodes, config_cap)
+    walks, total = [], 0
+    for x, s in ids.items():
+        reach = [[s]]        # reach[d]: the states d steps from s
+        for _ in range(P):
+            reach.append(list(dict.fromkeys(
+                w for v in reach[-1] for _, w in edges[v])))
+        # live[d]: c_(P-d)(v) for each v in reach[d] where it is > 0
+        live = [{s: 1}]
+        for layer in reach[-2::-1]:
+            after = live[-1]
+            live.append({v: c for v in layer if (c := sum(
+                after.get(w, 0) for _, w in edges[v]))})
+        live.reverse()
+        if s in live[0]:
+            walks.append((x, s, live))
+            total += live[0][s]
+    if total > config_cap:
+        raise SearchBudget("too many admissible configurations")
+    # the last min(e - 1, P) steps of each closed walk are forced
+    nodes += min(e - 1, P) * total
+    if nodes > node_cap:
+        raise SearchBudget("node budget exceeded")
+
+    free = P - (e - 1)   # steps that choose a slice
+    out = []
+    for x, s, live in walks:
+        if free <= 0:
+            out.append(x[:n])
+            continue
+        # the steps between live states at each depth
+        steps = [{v: [(y, w) for y, w in edges[v] if w in after]
+                  for v in now} for now, after in zip(live, live[1:free + 1])]
+        values = list(x) + [0] * (free * m)
+        its = [iter(steps[0][s])] + [None] * (free - 1)
+        d = 0
+        while d >= 0:
+            step = next(its[d], None)
+            if step is None:
+                d -= 1
+                continue
+            nodes += 1
+            if nodes > node_cap:
+                raise SearchBudget("node budget exceeded")
+            y, w = step
+            values[k + d * m:k + d * m + m] = y
+            d += 1
+            if d == free:
+                out.append(tuple(values))
+                d -= 1
+            else:
+                its[d] = iter(steps[d][w])
+    if a == 0:
+        return out
+    back = itemgetter(*(c[a] * m + at[c[:a] + c[a + 1:]]
+                        for c in module.elements()))
+    return sorted(map(back, out))
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +920,7 @@ def refute_nonextendible(mu, max_window=4, node_cap=10 ** 7,
                                 {"witness": local.witness})
 
     D = mu.domain.dim
-    windows = [W for W in default_window_schedule(D, max_window)
-               if translates_inside(mu.domain, W)]
+    windows = _fitting_windows(mu.domain, max_window)
     detail = {}
 
     # the largest window that fits, if any, has side max_window

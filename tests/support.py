@@ -506,15 +506,14 @@ def reference_eliminate(row, f, p, nz):
     return [x // g for x in out] if g > 1 else out
 
 
-def reference_vertices(system, max_count=50, seed=0, tries=None,
+def reference_vertices(system, max_count=50, seed=0,
                        pivot_limit=DEFAULT_PIVOT_LIMIT):
     """enumerate_vertices by one whole solve_feasibility, phase 1
-    included, per try, drawing the same objectives."""
+    included, per try, drawing the same objectives, over the library's
+    8 * max_count tries."""
     rng = random.Random(seed)
-    if tries is None:
-        tries = 8 * max_count
     vertices, seen = [], set()
-    for _ in range(tries):
+    for _ in range(8 * max_count):
         if len(vertices) >= max_count:
             break
         objective = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
@@ -538,10 +537,11 @@ def _shifted_word(chi, domain, k, target):
     return tuple(moved.get(p, 0) for p in target.points)
 
 
-def reference_stationarity_fourier(mu, tol=1e-9):
+def reference_stationarity_fourier(mu):
     """check_stationarity_fourier by one direct fourier_coeff sum per
     character and per shifted character, exponent words in
-    itertools.product order, shifts from translates_inside."""
+    itertools.product order, shifts from translates_inside, within
+    harmonic.TOL."""
     W = mu.domain
     for chi in itertools.product(range(mu.alphabet), repeat=len(W)):
         support = [p for p, e in zip(W.points, chi) if e]
@@ -550,21 +550,21 @@ def reference_stationarity_fourier(mu, tol=1e-9):
         base = harmonic.fourier_coeff(mu, chi)
         for k in translates_inside(Domain(W.dim, support), W):
             if any(k) and abs(base - harmonic.fourier_coeff(
-                    mu, _shifted_word(chi, W, k, W))) > tol:
+                    mu, _shifted_word(chi, W, k, W))) > harmonic.TOL:
                 return False, (chi, k)
     return True, ()
 
 
-def reference_extension_fourier(base, ext, tol=1e-9):
+def reference_extension_fourier(base, ext):
     """check_extension_fourier by direct sums: the first (chi, t), chi
     in itertools.product order, whose coefficient on base differs from
-    that of chi moved by t on ext."""
+    that of chi moved by t on ext by more than harmonic.TOL."""
     U, W = base.domain, ext.domain
     for chi in itertools.product(range(base.alphabet), repeat=len(U)):
         want = harmonic.fourier_coeff(base, chi)
         for t in translates_inside(U, W):
             got = harmonic.fourier_coeff(ext, _shifted_word(chi, U, t, W))
-            if abs(want - got) > tol:
+            if abs(want - got) > harmonic.TOL:
                 return False, (chi, t)
     return True, ()
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -253,6 +254,64 @@ def test_enumerate_periodic_configs_matches_brute_force():
     assert reordered and one_cell
 
 
+def test_strip_walk_matches_brute_force():
+    # seeded pruned word sets on 1-D, 2-D and 3-D tori: the closed walks
+    # over admissible strips list exactly the brute-force fillings, in
+    # order, whichever axis they walk (a) and however the extent e of
+    # the word domain along it compares with its period P
+    rng = random.Random(23)
+    domains = {
+        1: [Domain.box(1, 1), Domain.interval(0, 1), Domain.interval(0, 2),
+            Domain(1, [(0,), (3,)])],
+        2: [Domain.box(2, (2, 1)), Domain.box(2, (1, 2)), Domain.box(2, 2),
+            Domain(2, [(0, 0), (1, 1)]), Domain(2, [(0, 0), (0, 2)])],
+        3: [Domain.box(3, (2, 1, 1)), Domain.box(3, (1, 1, 2)),
+            Domain(3, [(0, 0, 0), (1, 1, 0), (0, 1, 1)])],
+    }
+    most = {1: 7, 2: 3, 3: 2}     # largest period per axis
+    seen = set()
+    for trial in range(150):
+        dim = (1, 2, 3)[trial % 3]
+        U = rng.choice(domains[dim])
+        periods = tuple(rng.randint(1, most[dim]) for _ in range(dim))
+        A = rng.choice([2, 3]) if dim == 1 else 2
+        allw = list(itertools.product(range(A), repeat=len(U)))
+        words = [w for w in allw if rng.random() < 0.7][:len(allw) - 1]
+        T = WordSet(U, A, words or [allw[0]])
+        a = (engine._fill_order(U, periods) or [0])[0]
+        lo, hi = U.bounding_box()[a]
+        e, P = hi - lo + 1, periods[a]
+        seen.add("e=1" if e == 1 else "e<P" if e < P else
+                 "e=P" if e == P else "e-1=P" if e - 1 == P else "e-1>P")
+        seen.add(f"a={a}")
+        grids = brute_force_torus_configs(U, A, T.words, periods)
+        cells = FiniteModule(periods).elements()
+        assert enumerate_periodic_configs(T, periods) \
+            == [tuple(grid[c] for c in cells) for grid in grids]
+    assert seen == {"e=1", "e<P", "e=P", "e-1=P", "e-1>P", "a=0", "a=1",
+                    "a=2"}
+
+
+def test_sparse_word_domain_fills_the_torus_cell_by_cell(monkeypatch):
+    # U = {0, 10} reads 2 of the 11 cells of a strip: 1,536 strips over
+    # 1,024 states, whose count would pass the node budget, so the
+    # 11-cycle is filled cell by cell and lists the brute-force fillings
+    U = Domain(1, [(0,), (10,)])
+    T = WordSet(U, 2, [(0, 0), (0, 1), (1, 0)])
+    calls = []
+
+    def fill(*args):
+        calls.append(args[1])
+        return real(*args)
+    real = engine._fill_torus
+    monkeypatch.setattr(engine, "_fill_torus", fill)
+    grids = brute_force_torus_configs(U, 2, T.words, (11,))
+    assert len(grids) == 199
+    assert enumerate_periodic_configs(T, (11,)) \
+        == [tuple(grid[(i,)] for i in range(11)) for grid in grids]
+    assert calls == [(11,)]
+
+
 def test_enumerate_periodic_configs_dimension_mismatch():
     T = WordSet(Domain.box(2, 2), 2, [(0, 0, 0, 0)])
     with pytest.raises(ValueError):
@@ -290,13 +349,13 @@ def test_search_node_budget():
 
 
 @pytest.mark.parametrize("k, periods, nodes",
-                         [(3, (4, 8), 47616), (3, (5, 8), 362),
-                          (4, (5, 8), 380182)],
+                         [(3, (4, 8), 8208), (3, (5, 8), 362),
+                          (4, (5, 8), 42986)],
                          ids=["counter3-4x8", "counter3-5x8", "counter4-5x8"])
 def test_search_node_count_is_pinned(k, periods, nodes):
-    # exact node counts of the full counter(k) torus enumeration in the
-    # chosen fill order; a faster per-node check must try the very same
-    # nodes
+    # exact node counts of the full counter(k) torus enumeration as
+    # closed walks over strips: strip-search nodes, count terms and walk
+    # steps; a faster per-node check must do the very same work
     T = binary_counter_support(k)
     enumerate_periodic_configs(T, periods, node_cap=nodes)
     with pytest.raises(SearchBudget, match="node budget"):
@@ -434,6 +493,25 @@ def test_pruned_search_config_cap():
     res = periodic_extension(binary_counter_measure(3), (4, 2))
     assert res.status == INFEASIBLE
     assert res.torus_measure is None
+
+
+def test_pruned_search_counts_before_listing():
+    # the golden mean fills the 30-cycle in 1,860,498 ways (L_30), past
+    # config_cap: the walk counts them before it lists any, so the abort
+    # is quick and holds no filling
+    mu = golden_mean_thirds()
+    start = time.perf_counter()
+    res = periodic_extension(mu, (30,))
+    assert time.perf_counter() - start < 1
+    assert (res.status, res.reason, res.config_count) \
+        == (ABORTED, "too many admissible configurations", 0)
+    tracemalloc.start()
+    try:
+        periodic_extension(mu, (30,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
