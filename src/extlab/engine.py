@@ -232,11 +232,11 @@ class _PatternSearch:
     """Backtracking filler for translate-constrained symbol assignments.
 
     Cells are assigned in index order: an index is a search position,
-    and the caller chooses which cell each position stands for.  Each
-    constraint lists the positions one placement of the word domain
-    reads, in word order; a partial assignment must keep every
-    constraint's prefix, taken in position order, inside the projection
-    of the allowed word set.
+    and the caller chooses the cell it stands for (_StripWalk: slice by
+    slice along the walk axis).  Each constraint lists the positions
+    one placement of the word domain reads, in word order; a partial
+    assignment must keep every constraint's prefix, taken in position
+    order, inside the projection of the allowed word set.
 
     Each placement walks a prefix trie of the word set, built once per
     distinct cell order.  Every (placement, depth) pair owns one slot of
@@ -273,14 +273,26 @@ class _PatternSearch:
 
         With `collect` (a list), gathers every solution instead, in
         lexicographic order, up to config_cap.  Each symbol tried counts
-        as one node; a search that returns from the loop, or stops there
-        at config_cap, leaves its count in `nodes`.  Raises SearchBudget
-        when a cap is exceeded.  A search with no steps collects through
-        _collect_every_filling, which gives the same fillings and raises
-        the same budget.
+        as one node; a search that returns, or stops at config_cap,
+        leaves its count in `nodes`.  Raises SearchBudget when a cap is
+        exceeded.  A search with no steps collects through
+        _collect_every_filling, which gives the same fillings, raises the
+        same budget and leaves the same count.
         """
-        if collect is not None and self.nslots == 1:
+        if collect is None:
+            return next(self.fillings(node_cap), None)
+        if self.nslots == 1:
             return self._collect_every_filling(node_cap, collect, config_cap)
+        for values in self.fillings(node_cap):
+            collect.append(values)
+            if config_cap is not None and len(collect) > config_cap:
+                raise SearchBudget("too many admissible configurations")
+        return None
+
+    def fillings(self, node_cap):
+        """The solutions in lexicographic order, one at a time; `nodes`
+        holds the count so far at each and at the end.  Raises
+        SearchBudget past node_cap nodes."""
         n, alphabet, steps = self.ncells, self.alphabet, self.steps
         values = [-1] * n     # -1: no symbol tried yet at this cell
         node_at = [0] * self.nslots
@@ -288,13 +300,8 @@ class _PatternSearch:
         nodes, i = 0, 0
         while i >= 0:
             if i == n:
-                if collect is None:
-                    self.nodes = nodes
-                    return tuple(values)
-                collect.append(tuple(values))
-                if config_cap is not None and len(collect) > config_cap:
-                    self.nodes = nodes
-                    raise SearchBudget("too many admissible configurations")
+                self.nodes = nodes
+                yield tuple(values)
                 i -= 1
                 continue
             a = values[i] + 1
@@ -314,7 +321,6 @@ class _PatternSearch:
             else:
                 i += 1
         self.nodes = nodes
-        return None
 
     def _collect_every_filling(self, node_cap, collect, config_cap):
         """run(collect=...) for a search with no steps, which prunes
@@ -342,6 +348,7 @@ class _PatternSearch:
             power *= alphabet
         if nodes > node_cap:
             raise SearchBudget("node budget exceeded")
+        self.nodes = nodes
         if over and config_cap is not None:
             raise SearchBudget("too many admissible configurations")
         collect.extend(itertools.product(range(alphabet), repeat=n))
@@ -421,25 +428,6 @@ def _cell_domain(module):
     return Domain(module.dim, module.elements())
 
 
-def _fill_order(domain, periods):
-    """The axes of period > 1, outermost first, in the order that fills
-    the torus with the least total span of the unwrapped placements.
-
-    With m_a = min(e_a, P_a), where e_a is the extent of the word
-    domain's bounding box along axis a, an unwrapped placement spans
-    sum_a (m_a - 1) s_a search positions, s_a being the stride of axis
-    a.  Swapping adjacent axes a (outer) and b changes that span by
-    (m_b - 1)(P_a - 1) - (m_a - 1)(P_b - 1) times the stride below b,
-    so sorting by (m_a - 1) / (P_a - 1) ascending is optimal; the sort
-    is stable, so ties keep module order.  An axis of period 1 has one
-    residue and no stride, so it is left out.
-    """
-    key = {a: Fraction(min(hi - lo + 1, p) - 1, p - 1)
-           for a, ((lo, hi), p) in enumerate(zip(domain.bounding_box(),
-                                                 periods)) if p > 1}
-    return sorted(key, key=key.get)
-
-
 def _torus_module(T, periods):
     """The module of the periods, after the checks of every torus
     search: an empty word domain raises ValueError, as it does in the
@@ -454,96 +442,36 @@ def _torus_module(T, periods):
     return module
 
 
-def _torus_search(T, periods):
-    """The torus cells in module.elements() order, the pattern search
-    over them in fill order (see _fill_order), and a getter that reads a
-    filling back in cell order, or None when the fill order is the cell
-    order.  A word set holding every word prunes nothing, so its search
-    keeps the cell order."""
-    module = _torus_module(T, periods)
-    cells = _cell_domain(module)
-    placements = _placements(T.domain, cells, cells.points, module.quotient)
-    back = None
-    if len(T.words) < T.alphabet ** len(T.domain):
-        order = _fill_order(T.domain, module.periods)
-        if order != sorted(order):
-            key = itemgetter(*order)
-            fill = sorted(range(len(cells)),
-                          key=lambda i: key(cells.points[i]))
-            at = sorted(range(len(cells)), key=fill.__getitem__)
-            # cell i sits at search position at[i]
-            placements = [[at[i] for i in p] for p in placements]
-            back = itemgetter(*at)
-    return (cells, _PatternSearch(T.alphabet, len(cells), placements,
-                                  T.words), back)
+def _arc(coords, P):
+    """(lo, e): the shortest arc lo, ..., lo + e - 1 of Z/P holding every
+    coordinate mod P, so e <= P.  It starts just after the widest gap
+    between cyclic neighbours (of equal gaps, the last)."""
+    rs = sorted({c % P for c in coords})
+    gap, lo = max(((r - q) % P or P, r) for q, r in zip(rs[-1:] + rs, rs))
+    return lo, P + 1 - gap
 
 
-@dataclass(frozen=True)
-class PeriodicSearchResult:
-    status: str     # "found", "none", or "aborted"
-    config: dict    # cell -> symbol for the found configuration
-    reason: str = ""
+class _StripWalk:
+    """The torus searches for a word set: the admissible fillings as
+    closed walks over admissible strips (Lind and Marcus 1995, 2.2: the
+    periodic points of a shift of finite type are closed walks in its
+    transfer graph), or one pattern search over the whole torus when
+    that graph is too large to count.
 
-
-def periodic_config_search(T, periods, node_cap=10 ** 7):
-    """Search for a fully periodic admissible configuration.
-
-    The torus wraps: every translate window is read modulo the periods,
-    so any positive period vector is allowed, even shorter than the
-    word-set domain.  The configuration found is the first admissible
-    one in the fill order of _torus_search.
-    """
-    cells, search, back = _torus_search(T, periods)
-    try:
-        found = search.run(node_cap)
-    except SearchBudget as exc:
-        return PeriodicSearchResult("aborted", {}, str(exc))
-    if found is None:
-        return PeriodicSearchResult("none", {})
-    if back:
-        found = back(found)
-    return PeriodicSearchResult("found", dict(zip(cells, found)))
-
-
-def enumerate_periodic_configs(T, periods, node_cap=10 ** 7,
-                               config_cap=10 ** 6):
-    """All admissible torus configurations, as tuples over the cells in
-    module.elements() order, sorted lexicographically.
-
-    A word set holding every word admits all A^n fillings, which
-    _collect_every_filling lists.  Any other word set is listed as the
-    closed walks over its admissible strips (_strip_walk), which count
-    the fillings before listing any.  SearchBudget is raised when the
-    count passes config_cap or the work passes node_cap nodes.
-    """
-    module = _torus_module(T, periods)
-    if len(T.words) < T.alphabet ** len(T.domain):
-        return _strip_walk(T, module, node_cap, config_cap)
-    return _fill_torus(T, periods, node_cap, config_cap)
-
-
-def _fill_torus(T, periods, node_cap, config_cap):
-    """enumerate_periodic_configs by the pattern search over every
-    torus cell in fill order, read back into module order and sorted."""
-    _, search, back = _torus_search(T, periods)
-    out = []
-    search.run(node_cap, collect=out, config_cap=config_cap)
-    return sorted(map(back, out)) if back else out
-
-
-def _strip_walk(T, module, node_cap, config_cap):
-    """The admissible fillings of the torus for a word set that prunes,
-    as closed walks over admissible strips (Lind and Marcus 1995, 2.2:
-    the periodic points of a shift of finite type are closed walks in
-    its transfer graph).
-
-    Let a be the first axis of _fill_order (axis 0 when every period is
-    1), P its period, e the extent of the word domain U along a, lo its
-    least a-coordinate, and slice j the m = n / P cells with
-    a-coordinate j, in module order of the other axes.  A strip is e
+    A torus placement reads each cell through its residue, so along an
+    axis of period P the word domain U may be folded: its coordinates
+    there, taken mod P, lie on a shortest arc lo, ..., lo + e - 1 of Z/P
+    (_arc), e <= P, and U read at offsets (c - lo) mod P has the same
+    torus placements as U.  The walk axis a is the axis of period > 1
+    with the least (e - 1) / (P - 1), ties going to the lower axis
+    (axis 0 when every period is 1, with e = 1).  Let P be its period,
+    e its folded extent, and slice j the m = n / P cells with
+    a-coordinate j, in module order of the other axes.  The layout puts
+    cell c at c_a * m plus the index of its other coordinates in that
+    order: slice-major along a, module order when a = 0.  A strip is e
     slices stacked along a, not wrapped along a and wrapped on the other
-    axes.  Its placements are U shifted by -lo along a and by every
-    residue r of the other axes.
+    axes.  Its placements are folded U at every residue r of the other
+    axes.
 
     Claim: a filling with slices x_0, ..., x_(P-1) is admissible if and
     only if each window x_k, ..., x_(k+e-1), indices mod P, is an
@@ -562,131 +490,205 @@ def _strip_walk(T, module, node_cap, config_cap):
     closed walk's whole sequence has period P, and its P strips are the
     windows of the filling y_0, ..., y_(P-1).  Conversely a filling's
     windows are a closed walk from its first e - 1 slices, so fillings
-    and closed walks correspond one to one.  Every strip of a closed
-    walk thus has period P; when e > P only those are listed, by one
-    pattern search over min(e, P) slices with strip slice j read at
-    slice j mod P, and when e - 1 > P a start state repeats with period
-    P inside itself.
+    and closed walks correspond one to one.
 
-    For each start s, c_r(v), the number of walks of r steps from v to
-    s, is computed in exact ints for each v that s reaches in P - r
-    steps: c_0(v) is 1 if v = s, else 0, and c_r(v) is the sum of
-    c_(r-1)(w) over the edges v -> w.  The sum of c_P(s) over the starts
-    is the number of fillings, known before any is listed; past
-    config_cap it raises SearchBudget.  The walk takes a step to w with
-    r steps left only when c_(r-1)(w) > 0, so no prefix is a dead end.
-    After P - (e - 1) steps the other e - 1 are forced, as they append
-    the start's slices, so they are not branched over.  Starts are taken
-    in sorted order and each state's edges in order of the slice they
-    append, so the walk lists the fillings in slice order: module order
-    when a = 0.  Otherwise they are read back into module order and
-    sorted.
+    For a start s, c_r(v), the number of walks of r steps from v to s,
+    is computed in exact ints for each v that s reaches in P - r steps:
+    c_0(v) is 1 if v = s, else 0, and c_r(v) is the sum of c_(r-1)(w)
+    over the edges v -> w.  A walk takes a step to w with r steps left
+    only when c_(r-1)(w) > 0, so no prefix is a dead end.  After P -
+    (e - 1) steps the other e - 1 are forced, as they append the start's
+    slices, so they are not branched over.  Starts are taken in sorted
+    order and each state's edges in order of the slice they append, so
+    the walks come in lexicographic layout order.
 
     Each strip search node and each walk step costs one node of
-    node_cap, and the count costs S P E nodes, a bound on its edge
-    terms, for S states (those that begin a strip) and E strips.  As a
-    state begins at most A^m strips, S >= E / A^m.  When the count
-    would pass node_cap, found once the strip search passes the number
-    of strips that bound allows or once S and E are known, the torus is
-    filled cell by cell instead (_fill_torus), with the nodes the strip
-    search left.
+    node_cap, and the graph costs S P E nodes, a bound on the edge terms
+    of counting every start, for S states (those that begin a strip)
+    and E strips.  The strip search stops as soon as the states and
+    strips it has listed charge past node_cap; then `fill` is the
+    pattern search over all n cells in the walk's layout, wrapped along
+    a too, given the nodes the strip search left.  A word set holding
+    every word prunes nothing and goes to `fill` at once, which lists
+    its A^n fillings by arithmetic.
+
+    `back` reads a filling in layout order back into module order; it
+    is None when the two orders list the fillings alike: a = 0, or every
+    filling admissible.
     """
-    periods, n = module.periods, module.size
-    a = (_fill_order(T.domain, periods) or [0])[0]
-    P = periods[a]
-    m = n // P
-    lo, hi = T.domain.bounding_box()[a]
-    e = hi - lo + 1
-    # strip cell j * m + at[r]: slice j mod P, residue r of the other axes
-    rest = periods[:a] + periods[a + 1:]
-    at = {r: i for i, r in enumerate(itertools.product(*map(range, rest)))}
-    placements = [[(u[a] - lo) % P * m + at[tuple(
-        (x + t) % p for x, t, p in zip(u[:a] + u[a + 1:], r, rest))]
-        for u in T.domain.points] for r in at]
-    search = _PatternSearch(T.alphabet, min(e, P) * m, placements, T.words)
-    strips = []
-    # S P E <= node_cap needs P E <= node_cap and P E^2 <= node_cap A^m
-    # (A^m capped once it passes node_cap // P)
-    most = node_cap // P
-    cap = min(most, math.isqrt(
-        most * T.alphabet ** min(m, most.bit_length())))
-    try:
-        search.run(node_cap, collect=strips, config_cap=cap)
-    except SearchBudget:
-        if len(strips) <= cap:     # the node budget, not the strip cap
-            raise
-        return _fill_torus(T, periods, node_cap - search.nodes, config_cap)
-    if e > P:
-        strips = [(x * e)[:e * m] for x in strips]
 
-    k = (e - 1) * m      # symbols in a state
-    ids = {}             # state -> number, in sorted order
-    for strip in strips:
-        ids.setdefault(strip[:k], len(ids))
-    edges = [[] for _ in ids]     # per state: (appended slice, next state)
-    for strip in strips:
-        w = ids.get(strip[m:])
-        if w is not None:
-            edges[ids[strip[:k]]].append((strip[k:], w))
-    nodes = search.nodes + len(ids) * P * len(strips)
-    if nodes > node_cap:
-        return _fill_torus(T, periods, node_cap - search.nodes, config_cap)
-    walks, total = [], 0
-    for x, s in ids.items():
-        reach = [[s]]        # reach[d]: the states d steps from s
-        for _ in range(P):
-            reach.append(list(dict.fromkeys(
-                w for v in reach[-1] for _, w in edges[v])))
-        # live[d]: c_(P-d)(v) for each v in reach[d] where it is > 0
-        live = [{s: 1}]
-        for layer in reach[-2::-1]:
-            after = live[-1]
-            live.append({v: c for v in layer if (c := sum(
-                after.get(w, 0) for _, w in edges[v]))})
-        live.reverse()
-        if s in live[0]:
-            walks.append((x, s, live))
-            total += live[0][s]
-    if total > config_cap:
-        raise SearchBudget("too many admissible configurations")
-    # the last min(e - 1, P) steps of each closed walk are forced
-    nodes += min(e - 1, P) * total
-    if nodes > node_cap:
-        raise SearchBudget("node budget exceeded")
+    def __init__(self, T, module, node_cap):
+        U, A = T.domain, T.alphabet
+        periods, n = module.periods, module.size
+        arcs = {a: _arc([u[a] for u in U.points], p)
+                for a, p in enumerate(periods) if p > 1}
+        self.a = a = min(arcs, default=0, key=lambda a: Fraction(
+            arcs[a][1] - 1, periods[a] - 1))
+        lo, self.e = arcs.get(a, (0, 1))
+        self.P = P = periods[a]
+        self.m = m = n // P
+        self.node_cap = node_cap
+        rest = periods[:a] + periods[a + 1:]
+        at = {r: i for i, r in enumerate(itertools.product(*map(range, rest)))}
+        # strip cell j * m + at[r]: slice j along a, residue r of the others
+        reads = [[(u[a] - lo) % P * m + at[tuple(
+            (x + t) % p for x, t, p in zip(u[:a] + u[a + 1:], r, rest))]
+            for u in U.points] for r in at]
+        full = len(T.words) == A ** len(U)
+        self.back = None if a == 0 or full else itemgetter(*(
+            c[a] * m + at[c[:a] + c[a + 1:]] for c in module.elements()))
+        self.fill, self.nodes = None, 0
+        if not full:
+            search = _PatternSearch(A, self.e * m, reads, T.words)
+            k = (self.e - 1) * m     # symbols in a state
+            self.ids = ids = {}      # state -> number, in sorted order
+            strips = []
+            for strip in search.fillings(node_cap):
+                ids.setdefault(strip[:k], len(ids))
+                strips.append(strip)
+                # the states and strips so far already charge this much
+                if search.nodes + len(ids) * P * len(strips) > node_cap:
+                    break
+            else:
+                self.nodes = search.nodes + len(ids) * P * len(strips)
+                # per state: (appended slice, next state)
+                self.edges = edges = [[] for _ in ids]
+                for strip in strips:
+                    w = ids.get(strip[m:])
+                    if w is not None:
+                        edges[ids[strip[:k]]].append((strip[k:], w))
+                return
+            self.nodes = search.nodes
+        self.fill = _PatternSearch(A, n, [[(c + j * m) % n for c in p]
+                                          for j in range(P) for p in reads],
+                                   T.words)
 
-    free = P - (e - 1)   # steps that choose a slice
-    out = []
-    for x, s, live in walks:
-        if free <= 0:
-            out.append(x[:n])
-            continue
+    def first(self):
+        """The first admissible filling, in module order, or None: the
+        first closed walk, starts taken lazily, or else the fill's first."""
+        if self.fill:
+            found = self.fill.run(self.node_cap - self.nodes)
+        else:
+            start = next(self._closed_starts(), None)
+            if start is None:
+                return None
+            self._charge(self.e - 1)     # the forced steps
+            found = next(self._walks(*start))
+        return self.back(found) if self.back and found else found
+
+    def every(self, config_cap):
+        """Every admissible filling, in module order, sorted; the closed
+        walks are counted before any is listed.  Past config_cap raises
+        SearchBudget."""
+        if self.fill:
+            out = []
+            self.fill.run(self.node_cap - self.nodes, collect=out,
+                          config_cap=config_cap)
+        else:
+            starts = list(self._closed_starts())
+            total = sum(live[0][s] for _, s, live in starts)
+            if total > config_cap:
+                raise SearchBudget("too many admissible configurations")
+            self._charge((self.e - 1) * total)     # the forced steps
+            out = [f for start in starts for f in self._walks(*start)]
+        return sorted(map(self.back, out)) if self.back else out
+
+    def _charge(self, nodes):
+        self.nodes += nodes
+        if self.nodes > self.node_cap:
+            raise SearchBudget("node budget exceeded")
+
+    def _closed_starts(self):
+        """(start, its number s, live) for each start in sorted order that
+        begins a closed walk; live[d] maps each state v reached d steps
+        from s to c_(P-d)(v), where that is > 0."""
+        edges = self.edges
+        for x, s in self.ids.items():
+            reach = [[s]]        # reach[d]: the states d steps from s
+            for _ in range(self.P):
+                reach.append(list(dict.fromkeys(
+                    w for v in reach[-1] for _, w in edges[v])))
+            live = [{s: 1}]
+            for layer in reach[-2::-1]:
+                after = live[-1]
+                live.append({v: c for v in layer if (c := sum(
+                    after.get(w, 0) for _, w in edges[v]))})
+            live.reverse()
+            if s in live[0]:
+                yield x, s, live
+
+    def _walks(self, x, s, live):
+        """The closed walks from start x, numbered s, as fillings in
+        layout order, in order; one node per step that chooses a slice
+        (the caller charges the forced ones)."""
+        m, k = self.m, (self.e - 1) * self.m
+        free = self.P - (self.e - 1)   # steps that choose a slice, >= 1
         # the steps between live states at each depth
-        steps = [{v: [(y, w) for y, w in edges[v] if w in after]
+        steps = [{v: [(y, w) for y, w in self.edges[v] if w in after]
                   for v in now} for now, after in zip(live, live[1:free + 1])]
         values = list(x) + [0] * (free * m)
         its = [iter(steps[0][s])] + [None] * (free - 1)
-        d = 0
+        d, nodes = 0, self.nodes
         while d >= 0:
             step = next(its[d], None)
             if step is None:
                 d -= 1
                 continue
             nodes += 1
-            if nodes > node_cap:
+            if nodes > self.node_cap:
                 raise SearchBudget("node budget exceeded")
             y, w = step
             values[k + d * m:k + d * m + m] = y
             d += 1
             if d == free:
-                out.append(tuple(values))
+                self.nodes = nodes
+                yield tuple(values)
                 d -= 1
             else:
                 its[d] = iter(steps[d][w])
-    if a == 0:
-        return out
-    back = itemgetter(*(c[a] * m + at[c[:a] + c[a + 1:]]
-                        for c in module.elements()))
-    return sorted(map(back, out))
+        self.nodes = nodes
+
+
+@dataclass(frozen=True)
+class PeriodicSearchResult:
+    status: str     # "found", "none", or "aborted"
+    config: dict    # cell -> symbol for the found configuration
+    reason: str = ""
+
+
+def periodic_config_search(T, periods, node_cap=10 ** 7):
+    """Search for a fully periodic admissible configuration.
+
+    The torus wraps: every translate window is read modulo the periods,
+    so any positive period vector is allowed, even shorter than the
+    word-set domain.  The configuration found is the first closed walk
+    over the strips of _StripWalk, starts taken in sorted order and
+    counted only when reached: the least admissible filling in the
+    walk's layout.  No config_cap applies.
+    """
+    module = _torus_module(T, periods)
+    try:
+        found = _StripWalk(T, module, node_cap).first()
+    except SearchBudget as exc:
+        return PeriodicSearchResult("aborted", {}, str(exc))
+    if found is None:
+        return PeriodicSearchResult("none", {})
+    return PeriodicSearchResult("found", dict(zip(module.elements(), found)))
+
+
+def enumerate_periodic_configs(T, periods, node_cap=10 ** 7,
+                               config_cap=10 ** 6):
+    """All admissible torus configurations, as tuples over the cells in
+    module.elements() order, sorted lexicographically.
+
+    A word set that prunes is listed as the closed walks over its
+    admissible strips (_StripWalk), which count the fillings before
+    listing any; a word set holding every word admits all A^n fillings,
+    which _collect_every_filling lists.  SearchBudget is raised when the
+    count passes config_cap or the work passes node_cap nodes.
+    """
+    return _StripWalk(T, _torus_module(T, periods), node_cap).every(
+        config_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -786,10 +788,8 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     if not res.ok:
         raise ValueError("periodic extension requires a locally stationary "
                          f"base; witness {res.witness}")
-    module = FiniteModule(periods)
-    if module.dim != mu.domain.dim:
-        raise ValueError("period vector dimension mismatch")
-    _check_cells(module.size, "torus")
+    T = support_word_set(mu)
+    module = _torus_module(T, periods)
     if not module.injective_on(mu.domain):
         raise ValueError("quotient map is not injective on the base domain")
     env = verify_envelope(Envelope(module, mu.domain), max_subset_size=3)
@@ -798,9 +798,8 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
         warning = (f"envelope check {env.status}"
                    + (f" (witness {env.witness})" if env.witness else ""))
 
-    T = support_word_set(mu)
     try:
-        configs = enumerate_periodic_configs(T, periods, node_cap, config_cap)
+        configs = _StripWalk(T, module, node_cap).every(config_cap)
     except SearchBudget as exc:
         return PeriodicExtensionResult(ABORTED, module, mu.alphabet, [],
                                        warning, reason=str(exc))

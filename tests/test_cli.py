@@ -173,6 +173,12 @@ def test_empty_word_domain_is_an_input_error(write_json, capsys):
     assert main(["perconfig", path, "--period", "2,3"]) == 2
     assert "empty word-set domain" in capsys.readouterr().err
     assert main(["tiling", path]) == 2
+    # a measure on an empty domain is refused by the torus checks too
+    path = write_json("empty-measure.json", {"dim": 2, "alphabet": 2,
+                                             "domain": [],
+                                             "masses": {"": "1"}})
+    assert main(["periodic", path, "--period", "2,3"]) == 2
+    assert "empty word-set domain" in capsys.readouterr().err
 
 
 def test_tiling_without_a_fitting_window_is_an_input_error(write_json,

@@ -232,8 +232,6 @@ def test_enumerate_periodic_configs_matches_brute_force():
         else:
             U = rng.choice(domains_1d)
             periods = (rng.randint(1, 6),)
-        order = engine._fill_order(U, periods)
-        reordered += order != sorted(order)
         one_cell += periods in ((1,), (1, 1))
         A = 2 if len(U) > 2 or len(periods) == 2 else rng.choice([2, 3])
         allw = list(itertools.product(range(A), repeat=len(U)))
@@ -245,20 +243,23 @@ def test_enumerate_periodic_configs_matches_brute_force():
             cells = FiniteModule(periods).elements()
             expected = [tuple(grid[c] for c in cells) for grid in grids]
             assert enumerate_periodic_configs(T, periods) == expected
+            walk = engine._StripWalk(T, FiniteModule(periods), 10 ** 7)
+            reordered += walk.back is not None
             res = periodic_config_search(T, periods)
             if grids:
                 assert res.status == "found" and res.config in grids
             else:
                 assert res.status == "none" and res.config == {}
-    # the seeds reach tori filled out of module order, and a 1-cell one
+    # the seeds reach tori walked out of module order, and a 1-cell one
     assert reordered and one_cell
 
 
 def test_strip_walk_matches_brute_force():
     # seeded pruned word sets on 1-D, 2-D and 3-D tori: the closed walks
     # over admissible strips list exactly the brute-force fillings, in
-    # order, whichever axis they walk (a) and however the extent e of
-    # the word domain along it compares with its period P
+    # order, whichever axis they walk (a), however the folded extent e
+    # of the word domain along it compares with its period P, and when
+    # the arc it is folded onto wraps past P - 1
     rng = random.Random(23)
     domains = {
         1: [Domain.box(1, 1), Domain.interval(0, 1), Domain.interval(0, 2),
@@ -278,38 +279,66 @@ def test_strip_walk_matches_brute_force():
         allw = list(itertools.product(range(A), repeat=len(U)))
         words = [w for w in allw if rng.random() < 0.7][:len(allw) - 1]
         T = WordSet(U, A, words or [allw[0]])
-        a = (engine._fill_order(U, periods) or [0])[0]
-        lo, hi = U.bounding_box()[a]
-        e, P = hi - lo + 1, periods[a]
-        seen.add("e=1" if e == 1 else "e<P" if e < P else
-                 "e=P" if e == P else "e-1=P" if e - 1 == P else "e-1>P")
+        walk = engine._StripWalk(T, FiniteModule(periods), 10 ** 7)
+        assert walk.fill is None
+        a, P, e = walk.a, walk.P, walk.e
+        lo, _ = engine._arc([u[a] for u in U.points], P)
+        assert e <= P
+        seen.add("e=1" if e == 1 else "e<P" if e < P else "e=P")
         seen.add(f"a={a}")
+        if lo + e > P:
+            seen.add("wraps")
         grids = brute_force_torus_configs(U, A, T.words, periods)
         cells = FiniteModule(periods).elements()
         assert enumerate_periodic_configs(T, periods) \
             == [tuple(grid[c] for c in cells) for grid in grids]
-    assert seen == {"e=1", "e<P", "e=P", "e-1=P", "e-1>P", "a=0", "a=1",
-                    "a=2"}
+    assert seen == {"e=1", "e<P", "e=P", "wraps", "a=0", "a=1", "a=2"}
+
+
+def test_folded_word_domain_is_walked():
+    # {0, 3} on the 4-cycle and {0, 10} on the 11-cycle read two cells
+    # one apart, so each folds onto an arc of 2 residues and is walked
+    # as a 2-slice strip instead of 4 or 11 slices
+    golden = [(0, 0), (0, 1), (1, 0)]
+    for gap, P, count in [(3, 4, 7), (10, 11, 199)]:
+        U = Domain(1, [(0,), (gap,)])
+        T = WordSet(U, 2, golden)
+        walk = engine._StripWalk(T, FiniteModule((P,)), 10 ** 7)
+        assert (walk.fill, walk.e) == (None, 2)
+        grids = brute_force_torus_configs(U, 2, T.words, (P,))
+        assert len(grids) == count
+        assert enumerate_periodic_configs(T, (P,)) \
+            == [tuple(grid[(i,)] for i in range(P)) for grid in grids]
 
 
 def test_sparse_word_domain_fills_the_torus_cell_by_cell(monkeypatch):
-    # U = {0, 10} reads 2 of the 11 cells of a strip: 1,536 strips over
-    # 1,024 states, whose count would pass the node budget, so the
-    # 11-cycle is filled cell by cell and lists the brute-force fillings
-    U = Domain(1, [(0,), (10,)])
+    # U = {0, 5} folds onto 6 of the 11 residues: its strips and states
+    # would charge past a node budget of 10^4, so the strip search stops
+    # and the 11-cycle is filled by one pattern search over all its
+    # cells, which lists the brute-force fillings
+    U = Domain(1, [(0,), (5,)])
     T = WordSet(U, 2, [(0, 0), (0, 1), (1, 0)])
     calls = []
 
-    def fill(*args):
-        calls.append(args[1])
-        return real(*args)
-    real = engine._fill_torus
-    monkeypatch.setattr(engine, "_fill_torus", fill)
+    def run(self, *args, **kwargs):
+        calls.append(self.ncells)
+        return real(self, *args, **kwargs)
+    real = engine._PatternSearch.run
+    monkeypatch.setattr(engine._PatternSearch, "run", run)
     grids = brute_force_torus_configs(U, 2, T.words, (11,))
     assert len(grids) == 199
+    assert enumerate_periodic_configs(T, (11,), node_cap=10 ** 4) \
+        == [tuple(grid[(i,)] for i in range(11)) for grid in grids]
+    res = periodic_config_search(T, (11,), node_cap=10 ** 4)
+    assert res.status == "found"
+    assert [res.config[(i,)] for i in range(11)] in \
+        [[grid[(i,)] for i in range(11)] for grid in grids]
+    assert calls == [11, 11]
+    # walked under the default budget, with the same list
+    calls.clear()
     assert enumerate_periodic_configs(T, (11,)) \
         == [tuple(grid[(i,)] for i in range(11)) for grid in grids]
-    assert calls == [(11,)]
+    assert calls == []
 
 
 def test_enumerate_periodic_configs_dimension_mismatch():
@@ -328,6 +357,35 @@ def test_torus_search_rejects_an_empty_word_domain():
                 search(T, (2, 3))
         with pytest.raises(ValueError, match="empty translate pattern"):
             sft_emptiness(T, max_side=2)
+    # a base on the empty domain meets the same check first
+    with pytest.raises(ValueError, match="empty word-set domain"):
+        periodic_extension(Measure(Domain(2, []), 2, {(): 1}), (2, 3))
+
+
+def test_periodic_extension_checks_its_torus_once(monkeypatch):
+    calls = []
+
+    def spy(T, periods):
+        calls.append(periods)
+        return real(T, periods)
+    real = engine._torus_module
+    monkeypatch.setattr(engine, "_torus_module", spy)
+    mu = Measure.uniform(Domain.interval(0, 1), 2)
+    assert periodic_extension(mu, (4,)).status == FEASIBLE
+    assert calls == [(4,)]
+
+
+@pytest.mark.parametrize("k, nodes", [(3, 362), (4, 20534)],
+                         ids=["counter3-5x8", "counter4-5x8"])
+def test_periodic_config_search_node_count_is_pinned(k, nodes):
+    # the strip search and the S P E charge of its graph, then the steps
+    # of the first closed walk: counter(3) has none at (5,8), counter(4)
+    # walks 8 steps
+    T = binary_counter_support(k)
+    found = periodic_config_search(T, (5, 8), node_cap=nodes)
+    assert found.status == ("none" if k == 3 else "found")
+    res = periodic_config_search(T, (5, 8), node_cap=nodes - 1)
+    assert (res.status, res.reason) == ("aborted", "node budget exceeded")
 
 
 def test_search_node_budget():
@@ -362,10 +420,10 @@ def test_search_node_count_is_pinned(k, periods, nodes):
         enumerate_periodic_configs(T, periods, node_cap=nodes - 1)
 
 
-def test_fill_order_lists_the_module_order_configs():
+def test_strip_walk_lists_the_module_order_configs():
     # the torus workload's instances (both symbol labellings), then every
-    # counter(3) and counter(4) torus of at most 40 cells: filling in the
-    # chosen axis order lists the very configurations, in the very order,
+    # counter(3) and counter(4) torus of at most 40 cells: the walk along
+    # its chosen axis lists the very configurations, in the very order,
     # of the fill in module.elements() order
     square = Domain.box(2, 2)
     dense = [support_word_set(Measure.uniform(square, 2)),
@@ -384,8 +442,8 @@ def test_fill_order_lists_the_module_order_configs():
                   for q in range(1, 40 // p + 1)]
     reordered = 0
     for T, periods in cases:
-        order = engine._fill_order(T.domain, periods)
-        reordered += order != sorted(order)
+        walk = engine._StripWalk(T, FiniteModule(periods), 10 ** 7)
+        reordered += walk.back is not None
         assert enumerate_periodic_configs(T, periods) \
             == module_order_torus_configs(T, periods), periods
     assert reordered
@@ -451,6 +509,17 @@ def test_full_word_set_budget_pins(config_cap, node_cap, reason):
     else:
         with pytest.raises(SearchBudget, match=reason):
             enumerate_periodic_configs(T, (4,), node_cap, config_cap)
+
+
+def test_full_word_set_search_counts_its_nodes():
+    # listing every filling by arithmetic leaves the loop's count: the
+    # 16 fillings of 4 cells take 2 + 4 + 8 + 16 nodes
+    T = support_word_set(Measure.uniform(Domain.interval(0, 1), 2))
+    search = engine._PatternSearch(2, 4, [[i, (i + 1) % 4] for i in range(4)],
+                                   T.words)
+    out = []
+    search.run(10 ** 7, collect=out)
+    assert (len(out), search.nodes) == (16, 30)
 
 
 def test_full_word_set_aborts_at_once():

@@ -1,10 +1,9 @@
 """Property tests on generated inputs: Domain lookups against plain-Python
-oracles, JSON round trips of measures and word sets, and the torus fill
-order against every axis order.
+oracles, JSON round trips of measures and word sets, and the arc that
+folds a word domain onto a torus axis against every arc.
 
 Every test is derandomized, so a run is deterministic."""
 
-import itertools
 import json
 from fractions import Fraction as F
 
@@ -88,49 +87,17 @@ def test_word_set_json_round_trip(mu):
     assert data["words"] == sorted(data["words"])
 
 
-def unwrapped_span(order, extents, periods):
-    """Total span (last search position minus first) of the unwrapped
-    placements of a box of the given extents, with the torus cells
-    filled axis by axis in `order`, outermost first.  The placement at t
-    reads t + box modulo the periods; it is unwrapped when it stays
-    inside [0, P_a) on every axis where the box is shorter than P_a
-    (on the other axes it covers every residue, and t_a = 0)."""
-    stride, s = {}, 1
-    for a in reversed(order):
-        stride[a], s = s, s * periods[a]
-    box = list(itertools.product(*(range(e) for e in extents)))
-    total = 0
-    for t in itertools.product(*(range(max(p - e, 0) + 1)
-                                 for e, p in zip(extents, periods))):
-        pos = [sum((t[a] + c[a]) % periods[a] * stride[a] for a in order)
-               for c in box]
-        total += max(pos) - min(pos)
-    return total
-
-
-@st.composite
-def word_domains_and_periods(draw):
-    dim = draw(st.integers(2, 3))
-    points = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * dim),
-                           min_size=1, max_size=5))
-    periods = tuple(draw(st.integers(1, 4)) for _ in range(dim))
-    return Domain(dim, points), periods
-
-
 @PROPERTY
-@given(word_domains_and_periods())
-@example((Domain(2, [(0, 0), (2, 0)]), (2, 5)))
-@example((Domain(3, [(0, 0, 0), (1, 1, 0)]), (3, 1, 3)))
-def test_fill_order_has_least_unwrapped_span(case):
-    # the sort key's order against all D! axis orders, on periods that
-    # include 1 and periods shorter than the word domain's extent
-    U, periods = case
-    extents = [hi - lo + 1 for lo, hi in U.bounding_box()]
-    spans = {order: unwrapped_span(order, extents, periods)
-             for order in itertools.permutations(range(U.dim))}
-    least = min(spans.values())
-    # the first order of least span in itertools order keeps ties in
-    # module order; axes of period 1 have no stride and are left out
-    first = next(order for order, span in spans.items() if span == least)
-    assert engine._fill_order(U, periods) \
-        == [a for a in first if periods[a] > 1]
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=5),
+       st.integers(1, 9))
+@example([0, 10], 11)
+@example([0, 3], 4)
+def test_arc_is_the_shortest_holding_arc(coords, P):
+    # every arc lo, ..., lo + e - 1 of Z/P that holds each coordinate
+    # mod P is at least as long as the one the torus walk folds onto
+    lo, e = engine._arc(coords, P)
+    assert 0 <= lo < P and 1 <= e <= P
+    residues = {c % P for c in coords}
+    assert residues <= {(lo + j) % P for j in range(e)}
+    assert e == min(f for f in range(1, P + 1) for start in range(P)
+                    if residues <= {(start + j) % P for j in range(f)})
