@@ -9,6 +9,7 @@ arguments to go through.
 """
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 
@@ -32,11 +33,11 @@ class CapExceeded(Exception):
 
 
 def add(p, q):
-    return tuple(a + b for a, b in zip(p, q))
+    return tuple(map(operator.add, p, q))
 
 
 def sub(p, q):
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(operator.sub, p, q))
 
 
 @dataclass(frozen=True)
@@ -193,14 +194,11 @@ class FiniteModule:
         """Reduce a lattice point coordinatewise modulo the periods."""
         if len(p) != self.dim:
             raise ValueError("point has wrong dimension")
-        return tuple(x % m for x, m in zip(p, self.periods))
+        return tuple(map(operator.mod, p, self.periods))
 
     def elements(self):
         """All residues, in lexicographic order."""
         return list(itertools.product(*(range(m) for m in self.periods)))
-
-    def add(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.periods))
 
     def injective_on(self, U):
         """Whether the quotient map separates the points of U."""
@@ -236,19 +234,6 @@ class EnvelopeCheck:
     witness: tuple       # () on pass/partial, else (V points, g_tilde)
 
 
-def _lift_candidates(g_tilde, periods, spans):
-    """Lattice vectors g == g_tilde mod P with |g_i| <= span_i.
-
-    If g + V lies in U for nonempty V then each g_i is a difference of
-    two U coordinates, so the coordinate spans of U bound the search.
-    """
-    axes = []
-    for gt, p, s in zip(g_tilde, periods, spans):
-        c0 = gt - ((gt + s) // p) * p
-        axes.append(list(range(c0, s + 1, p)))
-    return itertools.product(*axes)
-
-
 def verify_envelope(env, max_subset_size=None):
     """Check the two envelope conditions, exhaustively up to a subset cap.
 
@@ -256,15 +241,17 @@ def verify_envelope(env, max_subset_size=None):
     that size or less are tried and a clean run reports "partial".
     Any violation found reports "fail" with a witness.
 
-    The liftability search rests on one lemma.  Fix a residue g~ and
-    let S(g~) be the sites v of U with phi(v) + g~ in phi(U); for each
-    lift g of g~ (see _lift_candidates) let L(g) be the sites v with
-    v + g in U.  Then L(g) is a subset of S(g~), since v + g in U gives
-    phi(v) + g~ = phi(v + g) in phi(U).  A subset V fails at g~ exactly
-    when V lies in S(g~) but in no L(g), so g~ can fail only if S(g~)
-    is not itself one of its L(g).  S and every L are int bitmasks over
-    U.points, computed once per residue; only residues of the form
-    phi(u) - phi(v) have a nonempty S.  When no residue is "risky" the
+    The liftability search rests on one lemma, read off the point pairs
+    (u, v) of U.  For a lattice vector g let L(g) be the sites v with
+    v + g in U, and for a residue g~ let S(g~) be the sites v with
+    phi(v) + g~ in phi(U).  Then v is in L(g) exactly when g = u - v for
+    some u in U, and v is in S(g~) exactly when g~ = phi(u) - phi(v) =
+    (u - v) mod P for some u.  So the only lifts g of g~ with a nonempty
+    L(g) are the differences u - v with u - v == g~ mod P, and S(g~) is
+    the union of their L(g).  A subset V fails at g~ exactly when V lies
+    in S(g~) but in no L(g), so g~ can fail only if S(g~) is not itself
+    one of its L(g).  S and every L are int bitmasks over U.points,
+    built from one pass over the pairs.  When no residue is "risky" the
     result needs no subset enumeration.  Otherwise subsets are tried in
     the order size, then itertools.combinations order over U.points,
     then risky residues in mod.elements() order, and the first failing
@@ -280,24 +267,21 @@ def verify_envelope(env, max_subset_size=None):
 
     n = len(U.points)
     cap = n if max_subset_size is None else min(max_subset_size, n)
-    spans = [hi - lo for lo, hi in U.bounding_box()]
-    phi = [mod.quotient(p) for p in U.points]
-    image = set(phi)
-    uset = U.point_set
-
-    def mask(hits):
-        return sum(1 << i for i, hit in enumerate(hits) if hit)
-
-    residues = sorted({tuple((a - b) % m for a, b, m
-                             in zip(pu, pv, mod.periods))
-                       for pu in phi for pv in phi})
+    L = {}
+    for u in U.points:
+        for i, v in enumerate(U.points):
+            g = sub(u, v)
+            L[g] = L.get(g, 0) | 1 << i
+    lifted = {}         # g~ -> [L(g) for each difference g == g~ mod P]
+    for g, bits in L.items():
+        lifted.setdefault(mod.quotient(g), []).append(bits)
     risky = []          # (g_tilde, S, [L(g) for each lift g])
-    for g_tilde in residues:
-        S = mask(mod.add(pv, g_tilde) in image for pv in phi)
-        lifted = [mask(add(v, g) in uset for v in U.points)
-                  for g in _lift_candidates(g_tilde, mod.periods, spans)]
-        if S not in lifted:
-            risky.append((g_tilde, S, lifted))
+    for g_tilde in sorted(lifted):
+        S = 0
+        for bits in lifted[g_tilde]:
+            S |= bits
+        if S not in lifted[g_tilde]:
+            risky.append((g_tilde, S, lifted[g_tilde]))
 
     # a failing V lies inside some risky S
     reach = 0

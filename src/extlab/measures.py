@@ -96,8 +96,9 @@ class SignedMeasure:
         for word, mass in masses.items():
             word = tuple(int(s) for s in word)
             _check_symbols(word, self.alphabet, n)
-            mass = Fraction(mass)
-            if mass != 0:
+            if not isinstance(mass, Fraction):
+                mass = Fraction(mass)
+            if mass:
                 clean[word] = mass
         self.masses = clean
         self._validate()
@@ -153,13 +154,17 @@ class Measure(SignedMeasure):
     """A probability measure: nonnegative masses summing to one."""
 
     def _validate(self):
-        total = Fraction(0)
+        # int numerators over one common denominator, as in
+        # is_locally_stationary
+        den = math.lcm(*(m.denominator for m in self.masses.values()))
+        total = 0
         for word, mass in self.masses.items():
-            if mass < 0:
+            if mass.numerator < 0:
                 raise ValueError(f"negative mass {mass} at word {word}")
-            total += mass
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, expected 1")
+            total += mass.numerator * (den // mass.denominator)
+        if total != den:
+            raise ValueError(f"masses sum to {Fraction(total, den)}, "
+                             "expected 1")
 
     @classmethod
     def uniform(cls, domain, alphabet):

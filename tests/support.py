@@ -256,7 +256,7 @@ def reference_verify_envelope(env, max_subset_size=None):
     for size in range(1, cap + 1):
         for V in itertools.combinations(U.points, size):
             for g_tilde in mod.elements():
-                if not all(mod.add(mod.quotient(v), g_tilde) in image
+                if not all(mod.quotient(add(v, g_tilde)) in image
                            for v in V):
                     continue
                 if not any(all(add(v, g) in U for v in V)
@@ -586,13 +586,14 @@ def module_order_torus_configs(T, periods):
 
 def reference_compute_H(module, U, alphabet):
     """compute_H with a character as the frozenset of its nonzero
-    (residue, exponent) pairs, translated by module.add."""
+    (residue, exponent) pairs, translated by addition mod P."""
     images = sorted(set(module.quotient(p) for p in U.points))
     seen = set()
     for exps in itertools.product(range(alphabet), repeat=len(images)):
         base = [(c, e) for c, e in zip(images, exps) if e]
         for g in module.elements():
-            seen.add(frozenset((module.add(c, g), e) for c, e in base))
+            seen.add(frozenset((module.quotient(add(c, g)), e)
+                               for c, e in base))
     return len(seen)
 
 

@@ -100,13 +100,20 @@ def test_verify_envelope_matches_subset_enumeration():
     # full EnvelopeCheck equality, witness included, against the oracle
     # that tries every subset against every residue
     rng = random.Random(11)
-    seen = set()
-    for case in range(240):
-        D = 1 + case % 2
-        U = Domain(D, [tuple(rng.randint(-3, 2) for _ in range(D))
-                       for _ in range(rng.randint(1, 6 if D == 2 else 5))])
+    seen, more = set(), set()
+    for case in range(480):
+        D = 1 + case % 3
+        # sides up to 3 at D = 3: the oracle tries every residue
+        coords = (-1, 1) if D == 3 else (-3, 2)
+        points = [[rng.randint(*coords) for _ in range(D)]
+                  for _ in range(rng.randint(1, 5 if D == 1 else 6))]
+        if D > 1 and case // 3 % 4 == 3:
+            # a flat last axis: side 1, so a period-1 axis for kind 1
+            for p in points:
+                p[-1] = 0
+        U = Domain(D, points)
         sides = [hi - lo + 1 for lo, hi in U.bounding_box()]
-        kind = case // 2 % 3
+        kind = case // 3 % 3
         if kind == 0:
             env = envelope_for(U)
         elif kind == 1:
@@ -118,12 +125,17 @@ def test_verify_envelope_matches_subset_enumeration():
             got = verify_envelope(env, max_subset_size=cap)
             assert got == reference_verify_envelope(env, cap), (env, cap)
             seen.add((kind, got.status, got.condition))
+            if D == 3 or 1 in env.module.periods:
+                more.add((D == 3, got.status, got.condition))
     # every kind of period vector reaches the outcomes it can reach
     assert {(0, "pass", ""), (0, "partial", ""),
             (1, "pass", ""), (1, "fail", "liftable"),
             (2, "fail", "injective"), (2, "fail", "liftable")} <= seen
     assert not any(kind == 0 and status == "fail"
                    for kind, status, _ in seen)
+    # and so do D = 3 windows and envelopes with a period-1 axis
+    for d3 in (True, False):
+        assert {(d3, "pass", ""), (d3, "fail", "liftable")} <= more
 
 
 def test_doubled_envelope_of_4x4_box_passes_exhaustively():

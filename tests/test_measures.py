@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -27,14 +28,32 @@ def pair_measure(p00, p01, p10, p11):
 
 def test_measure_validation():
     dom = Domain.interval(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^masses sum to 1/2, expected 1$"):
         Measure(dom, 2, {(0,): F(1, 2)})          # mass deficit
-    with pytest.raises(ValueError):
-        Measure(dom, 2, {(0,): F(3, 2), (1,): F(-1, 2)})  # negative
+    with pytest.raises(ValueError,
+                       match=r"^negative mass -1/2 at word \(1,\)$"):
+        Measure(dom, 2, {(0,): F(3, 2), (1,): F(-1, 2)})
     with pytest.raises(ValueError):
         Measure(dom, 2, {(2,): F(1)})             # symbol out of range
     m = Measure(dom, 2, {(0,): F(1), (1,): F(0)})
     assert m.masses == {(0,): F(1)}               # zeros dropped
+    # int, str and float masses become the Fractions Fraction() makes
+    m = Measure(dom, 3, {(0,): "1/4", (1,): 0.75, (2,): 0})
+    assert m.masses == {(0,): F(1, 4), (1,): F(3, 4)}
+    assert {type(x) for x in m.masses.values()} == {F}
+    assert Measure(dom, 2, {(1,): 1}).masses == {(1,): F(1)}
+    assert SignedMeasure(dom, 2, {(0,): 0.1}).masses == {(0,): F(0.1)}
+    # the total is exact over the common denominator
+    thirds = {(0,): F(1, 3), (1,): F(1, 5), (2,): F(7, 15)}
+    assert Measure(dom, 3, thirds).total_mass() == 1
+    short = F(7, 15) - F(1, 10 ** 30)
+    with pytest.raises(ValueError, match=re.escape(
+            f"masses sum to {1 - F(1, 10 ** 30)}, expected 1")):
+        Measure(dom, 3, {**thirds, (2,): short})
+    # a signed measure takes negative masses and any total
+    s = SignedMeasure(dom, 2, {(0,): F(3, 2), (1,): -1})
+    assert s.masses == {(0,): F(3, 2), (1,): F(-1)}
+    assert s.total_mass() == F(1, 2)
 
 
 def test_marginal_sums():
