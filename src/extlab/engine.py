@@ -15,6 +15,10 @@ Four families of tools:
 The window polytope and the torus LP are one LP, built by _class_lp:
 a measure constant on classes of configurations, locally stationary
 across given overlaps, with base marginal mu at given placements.
+
+In the torus layer a configuration is one packed int (_Codec), whose
+order is lexicographic, and a unit translation is a shift-and-mask pair
+(_unit_steps); tuples appear only at the public boundaries.
 """
 
 import itertools
@@ -23,7 +27,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, lshift
 
 from .lattice import (Domain, FiniteModule, Envelope, CapExceeded, cell_cap,
                       translates_inside, verify_envelope, _overlaps,
@@ -48,22 +52,26 @@ def _class_lp(mu, classes, names, placements, overlaps=()):
     each class, locally stationary across the overlaps, and has base
     marginal mu at every placement.
 
-    A configuration is a tuple of symbols; a placement, and each side of
-    an overlap (left, right), is a tuple of its positions, read in word
-    order.  Variable names[i] >= 0 is the mass of each member of
+    A class is (representative, size): a configuration, a tuple of
+    symbols, and its number of members.  A read is a tuple of positions,
+    in word order.  A placement is a list of reads such that, where the
+    representative reads u k times across them, k * size / len(reads)
+    members read u there.  Overlaps (left, right) read the representative
+    alone.  Variable names[i] >= 0 is the mass of each member of
     classes[i].  The rows are, in this order:
 
-    * total mass 1: the sum of |class| * x over the classes;
+    * total mass 1: the sum of size * x over the classes;
     * per overlap, per word b read at either side, in order of first
-      appearance: the members reading b at left minus those reading it
+      appearance: the classes reading b at left minus those reading it
       at right, == 0; all-zero rows are dropped;
     * per placement, per word u read there or in the support of mu, in
       sorted order: the members reading u, == mu[u].
 
-    The window polytope (one class per window word, every translate of
-    the base domain, the maximal overlaps) and the torus LP (the
-    translation orbits of the admissible configurations, the base domain
-    at the origin read through the quotient, no overlaps) are this LP.
+    The window polytope (one class per window word, one read per
+    translate of the base domain, the maximal overlaps) and the torus LP
+    (the translation orbits of the admissible configurations, each read
+    through its least member at the base domain translated by every
+    cell, no overlaps) are this LP.
     Their verdicts weigh differently.  An infeasible window is a
     refutation: every stationary extension of mu restricts to a point of
     it.  A feasible window proves nothing.  A feasible torus is a
@@ -73,29 +81,31 @@ def _class_lp(mu, classes, names, placements, overlaps=()):
     system = LinearSystem()
     for name in names:
         system.add_variable(name, nonneg=True)
-    system.add_eq({v: len(c) for v, c in zip(names, classes)}, 1)
+    reps = [rep for rep, _ in classes]
+    size = {v: n for v, (_, n) in zip(names, classes)}
+    system.add_eq(size, 1)
     for left, right in overlaps:
         rows = defaultdict(Counter)
-        read_left, read_right = _reader(left), _reader(right)
-        for v, members in zip(names, classes):
-            for b, c in zip(map(read_left, members), map(read_right, members)):
-                rows[b][v] += 1
-                rows[c][v] -= 1
+        for v, b, c in zip(names, map(_reader(left), reps),
+                           map(_reader(right), reps)):
+            rows[b][v] += 1
+            rows[c][v] -= 1
         for coeffs in rows.values():
             if any(coeffs.values()):
                 system.add_eq(coeffs, 0)
-    # every member once, beside the variable of its class
-    flat = list(itertools.chain.from_iterable(classes))
-    owners = list(itertools.chain.from_iterable(
-        map(itertools.repeat, names, map(len, classes))))
-    for idx in placements:
+    for reads in placements:
         rows = defaultdict(dict)
-        for (u, v), k in Counter(zip(map(_reader(idx), flat),
-                                     owners)).items():
-            rows[u][v] = k
+        for (u, v), k in _read_counts(reps, names, reads).items():
+            rows[u][v] = k * size[v] // len(reads)
         for u in sorted(rows.keys() | mu.support()):
             system.add_eq(rows[u], mu[u])
     return system
+
+
+def _read_counts(reps, keys, reads):
+    """Counter of (word, key) over every read of every representative."""
+    return Counter(itertools.chain.from_iterable(
+        zip(map(_reader(idx), reps), keys) for idx in reads))
 
 
 def _reader(idx):
@@ -187,8 +197,8 @@ def build_window_polytope(mu, W):
         raise CapExceeded(f"window polytope needs {nwords} variables")
 
     words = list(itertools.product(range(mu.alphabet), repeat=len(W)))
-    system = _class_lp(mu, [[w] for w in words], [_var(w) for w in words],
-                       _placements(U, W, anchors),
+    system = _class_lp(mu, [(w, 1) for w in words], [_var(w) for w in words],
+                       [[idx] for idx in _placements(U, W, anchors)],
                        [(left, right) for _, _, left, right in _overlaps(W)])
     return ExtensionPolytope(W, mu, words, system)
 
@@ -275,14 +285,10 @@ class _PatternSearch:
         lexicographic order, up to config_cap.  Each symbol tried counts
         as one node; a search that returns, or stops at config_cap,
         leaves its count in `nodes`.  Raises SearchBudget when a cap is
-        exceeded.  A search with no steps collects through
-        _collect_every_filling, which gives the same fillings, raises the
-        same budget and leaves the same count.
+        exceeded.
         """
         if collect is None:
             return next(self.fillings(node_cap), None)
-        if self.nslots == 1:
-            return self._collect_every_filling(node_cap, collect, config_cap)
         for values in self.fillings(node_cap):
             collect.append(values)
             if config_cap is not None and len(collect) > config_cap:
@@ -322,37 +328,25 @@ class _PatternSearch:
                 i += 1
         self.nodes = nodes
 
-    def _collect_every_filling(self, node_cap, collect, config_cap):
-        """run(collect=...) for a search with no steps, which prunes
-        nothing, worked out by arithmetic before anything is listed.
 
-        The solutions are all A^n fillings of the n cells, A the
-        alphabet, and the loop reaches filling k (0-based, in
-        lexicographic order) after sum_j (floor(k / A^(n-j)) + 1) nodes,
-        j = 1..n: one per prefix of length j not after that filling's
-        own.  The last filling it reaches is k = A^n - 1, or k =
-        config_cap, where it raises, when A^n passes config_cap; it
-        raises the node budget instead when reaching k takes more than
-        node_cap nodes.  The test of A^n against a cap forms no power of
-        A past the cap's bit length.
-        """
-        n, alphabet = self.ncells, self.alphabet
-        # without config_cap, A^n past node_cap is past the node budget
-        bound = node_cap if config_cap is None else config_cap
-        over = (alphabet >= 2 and n > bound.bit_length()
-                or alphabet ** n > bound)
-        last = bound if over else alphabet ** n - 1
-        nodes, power = n, 1
-        while power <= last:      # a term with A^(n-j) > last adds its 1
-            nodes += last // power
-            power *= alphabet
-        if nodes > node_cap:
-            raise SearchBudget("node budget exceeded")
-        self.nodes = nodes
-        if over and config_cap is not None:
-            raise SearchBudget("too many admissible configurations")
-        collect.extend(itertools.product(range(alphabet), repeat=n))
-        return None
+def _check_every_filling(alphabet, n, node_cap, config_cap):
+    """Raise SearchBudget where the pattern search listing all A^n
+    fillings of n cells (A = alphabet) would: it reaches filling k
+    (0-based, lexicographic) after sum_j (floor(k / A^(n-j)) + 1) nodes,
+    j = 1..n, and it stops at k = config_cap when A^n passes config_cap,
+    or sooner at node_cap.  No power of A past config_cap's bit length
+    is formed."""
+    over = (alphabet >= 2 and n > config_cap.bit_length()
+            or alphabet ** n > config_cap)
+    last = config_cap if over else alphabet ** n - 1
+    nodes, power = n, 1
+    while power <= last:      # a term with A^(n-j) > last adds its 1
+        nodes += last // power
+        power *= alphabet
+    if nodes > node_cap:
+        raise SearchBudget("node budget exceeded")
+    if over:
+        raise SearchBudget("too many admissible configurations")
 
 
 def _check_cells(ncells, what):
@@ -423,11 +417,6 @@ def sft_emptiness(T, max_side=6, node_cap=10 ** 7):
     return EmptinessResult("unknown", last)
 
 
-def _cell_domain(module):
-    """The torus cells; their order is module.elements()."""
-    return Domain(module.dim, module.elements())
-
-
 def _torus_module(T, periods):
     """The module of the periods, after the checks of every torus
     search: an empty word domain raises ValueError, as it does in the
@@ -449,6 +438,35 @@ def _arc(coords, P):
     rs = sorted({c % P for c in coords})
     gap, lo = max(((r - q) % P or P, r) for q, r in zip(rs[-1:] + rs, rs))
     return lo, P + 1 - gap
+
+
+class _Codec:
+    """Configurations of n cells over A symbols as ints, for every A:
+    cell i is the field of w = max(1, bit length of A - 1) bits at bit
+    offset shifts[i] = (n - 1 - i) * w, so cell 0 is the most
+    significant and int order is the lexicographic order of the tuples.
+    """
+
+    def __init__(self, alphabet, ncells):
+        self.alphabet, self.ncells = alphabet, ncells
+        self.width = w = max(1, (alphabet - 1).bit_length())
+        self.shifts = range((ncells - 1) * w, -1, -w)
+
+    def pack(self, cfg):
+        return sum(map(lshift, cfg, self.shifts))
+
+    def unpack(self, x):
+        mask = (1 << self.width) - 1
+        return tuple([x >> s & mask for s in self.shifts])
+
+    def every(self):
+        """All A^n configurations, increasing: two halves' fillings joined."""
+        A, n, w = self.alphabet, self.ncells, self.width
+        parts = [[0]]     # parts[k]: the fillings of k cells
+        for _ in range(n - n // 2):
+            parts.append([x << w | a for x in parts[-1] for a in range(A)])
+        return [h | x for h in [x << n // 2 * w for x in parts[-1]]
+                for x in parts[n // 2]]
 
 
 class _StripWalk:
@@ -509,12 +527,11 @@ class _StripWalk:
     strips it has listed charge past node_cap; then `fill` is the
     pattern search over all n cells in the walk's layout, wrapped along
     a too, given the nodes the strip search left.  A word set holding
-    every word prunes nothing and goes to `fill` at once, which lists
-    its A^n fillings by arithmetic.
-
-    `back` reads a filling in layout order back into module order; it
-    is None when the two orders list the fillings alike: a = 0, or every
-    filling admissible.
+    every word (`full`) prunes nothing: `every` checks its budgets by
+    arithmetic (_check_every_filling) and lists the A^n fillings at once.
+    A filling is packed (`codec`) in module order; shifts[j] holds the
+    bit offsets of slice j's m cells, in layout order, so a walk ors in
+    each slice where it lies.
     """
 
     def __init__(self, T, module, node_cap):
@@ -528,17 +545,19 @@ class _StripWalk:
         self.P = P = periods[a]
         self.m = m = n // P
         self.node_cap = node_cap
+        self.codec = _Codec(A, n)
         rest = periods[:a] + periods[a + 1:]
         at = {r: i for i, r in enumerate(itertools.product(*map(range, rest)))}
         # strip cell j * m + at[r]: slice j along a, residue r of the others
         reads = [[(u[a] - lo) % P * m + at[tuple(
             (x + t) % p for x, t, p in zip(u[:a] + u[a + 1:], r, rest))]
             for u in U.points] for r in at]
-        full = len(T.words) == A ** len(U)
-        self.back = None if a == 0 or full else itemgetter(*(
-            c[a] * m + at[c[:a] + c[a + 1:]] for c in module.elements()))
+        s = n // math.prod(periods[:a + 1])   # the stride of axis a
+        self.shifts = [[self.codec.shifts[r // s * P * s + j * s + r % s]
+                        for r in range(m)] for j in range(P)]
+        self.full = len(T.words) == A ** len(U)
         self.fill, self.nodes = None, 0
-        if not full:
+        if not self.full:
             search = _PatternSearch(A, self.e * m, reads, T.words)
             k = (self.e - 1) * m     # symbols in a state
             self.ids = ids = {}      # state -> number, in sorted order
@@ -563,35 +582,43 @@ class _StripWalk:
                                           for j in range(P) for p in reads],
                                    T.words)
 
+    def _pack(self, values, j=0):
+        """Slices j, j + 1, ... in layout order, packed where they lie."""
+        return sum(map(lshift, values, itertools.chain(*self.shifts[j:])))
+
     def first(self):
         """The first admissible filling, in module order, or None: the
         first closed walk, starts taken lazily, or else the fill's first."""
         if self.fill:
             found = self.fill.run(self.node_cap - self.nodes)
+            found = found and self._pack(found)     # None, or packed
         else:
             start = next(self._closed_starts(), None)
             if start is None:
                 return None
             self._charge(self.e - 1)     # the forced steps
             found = next(self._walks(*start))
-        return self.back(found) if self.back and found else found
+        return None if found is None else self.codec.unpack(found)
 
     def every(self, config_cap):
-        """Every admissible filling, in module order, sorted; the closed
-        walks are counted before any is listed.  Past config_cap raises
-        SearchBudget."""
+        """Every admissible filling, packed in module order, sorted; the
+        closed walks are counted before any is listed.  Past config_cap
+        raises SearchBudget."""
+        if self.full:
+            _check_every_filling(self.codec.alphabet, self.codec.ncells,
+                                 self.node_cap, config_cap)
+            return self.codec.every()
         if self.fill:
             out = []
             self.fill.run(self.node_cap - self.nodes, collect=out,
                           config_cap=config_cap)
-        else:
-            starts = list(self._closed_starts())
-            total = sum(live[0][s] for _, s, live in starts)
-            if total > config_cap:
-                raise SearchBudget("too many admissible configurations")
-            self._charge((self.e - 1) * total)     # the forced steps
-            out = [f for start in starts for f in self._walks(*start)]
-        return sorted(map(self.back, out)) if self.back else out
+            return sorted(map(self._pack, out))
+        starts = list(self._closed_starts())
+        total = sum(live[0][s] for _, s, live in starts)
+        if total > config_cap:
+            raise SearchBudget("too many admissible configurations")
+        self._charge((self.e - 1) * total)     # the forced steps
+        return sorted(f for start in starts for f in self._walks(*start))
 
     def _charge(self, nodes):
         self.nodes += nodes
@@ -618,15 +645,16 @@ class _StripWalk:
                 yield x, s, live
 
     def _walks(self, x, s, live):
-        """The closed walks from start x, numbered s, as fillings in
-        layout order, in order; one node per step that chooses a slice
-        (the caller charges the forced ones)."""
-        m, k = self.m, (self.e - 1) * self.m
-        free = self.P - (self.e - 1)   # steps that choose a slice, >= 1
-        # the steps between live states at each depth
-        steps = [{v: [(y, w) for y, w in self.edges[v] if w in after]
-                  for v in now} for now, after in zip(live, live[1:free + 1])]
-        values = list(x) + [0] * (free * m)
+        """The closed walks from start x, numbered s, as packed fillings,
+        in layout order; one node per step that chooses a slice (the
+        caller charges the forced ones)."""
+        e = self.e
+        free = self.P - (e - 1)   # steps that choose a slice, >= 1
+        # the live steps at each depth, each slice packed where it lies
+        steps = [{v: [(self._pack(y, e - 1 + d), w) for y, w in self.edges[v]
+                      if w in live[d + 1]] for v in live[d]}
+                 for d in range(free)]
+        filled = [self._pack(x)] + [0] * free  # the start and d slices
         its = [iter(steps[0][s])] + [None] * (free - 1)
         d, nodes = 0, self.nodes
         while d >= 0:
@@ -638,11 +666,11 @@ class _StripWalk:
             if nodes > self.node_cap:
                 raise SearchBudget("node budget exceeded")
             y, w = step
-            values[k + d * m:k + d * m + m] = y
+            filled[d + 1] = filled[d] | y
             d += 1
             if d == free:
                 self.nodes = nodes
-                yield tuple(values)
+                yield filled[d]
                 d -= 1
             else:
                 its[d] = iter(steps[d][w])
@@ -679,16 +707,14 @@ def periodic_config_search(T, periods, node_cap=10 ** 7):
 def enumerate_periodic_configs(T, periods, node_cap=10 ** 7,
                                config_cap=10 ** 6):
     """All admissible torus configurations, as tuples over the cells in
-    module.elements() order, sorted lexicographically.
-
-    A word set that prunes is listed as the closed walks over its
-    admissible strips (_StripWalk), which count the fillings before
-    listing any; a word set holding every word admits all A^n fillings,
-    which _collect_every_filling lists.  SearchBudget is raised when the
-    count passes config_cap or the work passes node_cap nodes.
+    module.elements() order, sorted lexicographically: the closed walks
+    over the admissible strips (_StripWalk), or all A^n fillings for a
+    word set holding every word, counted before any is listed.
+    SearchBudget is raised when the count passes config_cap or the work
+    passes node_cap nodes.
     """
-    return _StripWalk(T, _torus_module(T, periods), node_cap).every(
-        config_cap)
+    walk = _StripWalk(T, _torus_module(T, periods), node_cap)
+    return list(map(walk.codec.unpack, walk.every(config_cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -714,66 +740,73 @@ class PeriodicExtensionResult:
         """The dense measure on every orbit member, None unless feasible."""
         if self.status != FEASIBLE:
             return None
-        steps = _unit_steps(self.module.periods)
-        masses = {t: mass for cfg, _, mass in self.orbits
-                  for t in _translates(cfg, steps)}
-        return Measure(_cell_domain(self.module), self.alphabet, masses)
+        codec = _Codec(self.alphabet, self.module.size)
+        steps = _unit_steps(self.module.periods, codec.width)
+        masses = {codec.unpack(t): mass for cfg, _, mass in self.orbits
+                  for t in _translates(codec.pack(cfg), steps)}
+        cells = Domain(self.module.dim, self.module.elements())
+        return Measure(cells, self.alphabet, masses)
 
 
-def _unit_steps(periods):
-    """One getter per axis of period > 1 that translates a configuration
-    by one step along that axis.
-
-    A configuration lists the cells in mixed-radix order over the
-    periods, so a unit step along an axis of stride s rolls each block
-    of p * s entries right by s places: position i reads i - s, or
-    i + (p - 1) s on the block's first row.  Each getter holds |cells|
-    positions; no |cells| x |cells| table is built.
-    """
-    n = math.prod(periods)
+def _unit_steps(periods, width):
+    """One (r, keep, l, wrap) per axis of period > 1: a configuration t
+    packed in fields of `width` bits (_Codec) steps by one cell along
+    that axis to t >> r & keep | t << l & wrap.  Along an axis of stride
+    s each block of p * s cells rolls by s: cell i reads cell i - s, or
+    on the block's first s cells (`wrap`) cell i + (p - 1) s.  The masks
+    are read from bit strings; no |cells| x |cells| table is built."""
+    n = stride = math.prod(periods)
     steps = []
-    stride = n
     for p in periods:
         stride //= p
         if p > 1:
-            steps.append(itemgetter(*(i - stride if i // stride % p
-                                      else i + (p - 1) * stride
-                                      for i in range(n))))
+            r = stride * width
+            wrap = int(("1" * r + "0" * (p - 1) * r) * (n // (p * stride)), 2)
+            steps.append((r, (1 << n * width) - 1 ^ wrap, (p - 1) * r, wrap))
     return steps
 
 
 def _translates(cfg, steps):
-    """The distinct translates of a configuration, in order of the first
-    cell g (in module.elements() order) that gives each: axis by axis,
-    each translate so far is stepped until it comes back."""
+    """The distinct translates of a packed configuration, in order of the
+    first cell g (in module.elements() order) that gives each: axis by
+    axis, each translate so far is stepped until it comes back."""
     out = [cfg]
-    for step in steps:
+    for r, keep, l, wrap in steps:
         seen = {}
         for t in out:
             while t not in seen:
                 seen[t] = None
-                t = step(t)
+                t = t >> r & keep | t << l & wrap
         out = list(seen)
     return out
 
 
-def _orbit_partition(configs, module):
-    """Group configurations into translation orbits, each a sorted list.
+def _orbit_partition(configs, module, width):
+    """(least member, size) of each translation orbit of the packed
+    configurations, in order of the orbit's first configuration.
 
     An orbit holds every translate of its configurations, whether or not
     that translate is in `configs` (compute_H counts such translates).
     """
-    if not configs:
-        return []
-    steps = _unit_steps(module.periods)
+    steps = _unit_steps(module.periods, width)
     orbits = []
     done = set()
     for cfg in configs:
         if cfg not in done:
             orbit = _translates(cfg, steps)
-            orbits.append(sorted(orbit))
+            orbits.append((min(orbit), len(orbit)))
             done.update(orbit)
     return orbits
+
+
+def _torus_reads(U, module):
+    """_placements of U at every cell of the torus, in module.elements()
+    order: u + t is cell sum_a ((u_a + t_a) mod p_a) * stride_a."""
+    periods = module.periods
+    strides = [math.prod(periods[a + 1:]) for a in range(len(periods))]
+    return list(zip(*([sum(c) for c in itertools.product(*(
+        [(x + t) % p * s for t in range(p)]
+        for x, p, s in zip(u, periods, strides)))] for u in U.points)))
 
 
 def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
@@ -799,15 +832,15 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
                    + (f" (witness {env.witness})" if env.witness else ""))
 
     try:
-        configs = _StripWalk(T, module, node_cap).every(config_cap)
+        walk = _StripWalk(T, module, node_cap)
+        configs = walk.every(config_cap)
     except SearchBudget as exc:
         return PeriodicExtensionResult(ABORTED, module, mu.alphabet, [],
                                        warning, reason=str(exc))
-    orbits = _orbit_partition(configs, module)
-    origin = _placements(mu.domain, _cell_domain(module), [(0,) * module.dim],
-                         module.quotient)
+    orbits = [(walk.codec.unpack(least), size) for least, size
+              in _orbit_partition(configs, module, walk.codec.width)]
     names = [f"y{o}" for o in range(len(orbits))]
-    system = _class_lp(mu, orbits, names, origin)
+    system = _class_lp(mu, orbits, names, [_torus_reads(mu.domain, module)])
 
     warm = {v: Fraction(1, len(configs)) for v in names} if configs else None
     sol = solve_feasibility(system, pivot_limit=pivot_limit, warm_start=warm)
@@ -818,10 +851,10 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     if sol.status != FEASIBLE:
         return result
 
-    for v, orbit in zip(names, orbits):
+    for v, (least, size) in zip(names, orbits):
         y = sol.assignment[v]
         if y != 0:
-            result.orbits.append((orbit[0], len(orbit), y))
+            result.orbits.append((least, size, y))
     # exact re-check of the defining marginal property
     if pullback_periodic(result, mu.domain).masses != mu.masses:
         raise AssertionError("torus solution fails exact marginal re-check")
@@ -833,8 +866,6 @@ def pullback_periodic(result, W):
     translates of an orbit's least configuration by every cell list each
     member |cells| / size times, so each carries mass * size / |cells|."""
     module = result.module
-    cells = _cell_domain(module)
-    reads = _placements(W, cells, cells.points, module.quotient)
     # int numerators over one denominator: lcm(mass denominators) * |cells|
     lcm = math.lcm(*(mass.denominator for _, _, mass in result.orbits))
     least = [cfg for cfg, _, _ in result.orbits]
@@ -842,10 +873,10 @@ def pullback_periodic(result, W):
               for _, size, mass in result.orbits]
     out = defaultdict(int)
     # (word, share) pairs counted over every read of every orbit at once
-    for (u, share), k in Counter(itertools.chain.from_iterable(
-            zip(map(_reader(idx), least), shares) for idx in reads)).items():
+    for (u, share), k in _read_counts(least, shares,
+                                      _torus_reads(W, module)).items():
         out[u] += share * k
-    den = lcm * len(cells)
+    den = lcm * module.size
     return Measure(W, result.alphabet,
                    {w: Fraction(n, den) for w, n in out.items()})
 
@@ -859,15 +890,11 @@ def compute_H(module, U, alphabet):
     The count covers all their translates under the module action (the
     trivial character included).
     """
-    cells = _cell_domain(module)
-    images = sorted({cells.index(module.quotient(p)) for p in U.points})
-    words = []
-    for exps in itertools.product(range(alphabet), repeat=len(images)):
-        word = [0] * len(cells)
-        for i, e in zip(images, exps):
-            word[i] = e
-        words.append(tuple(word))
-    return sum(map(len, _orbit_partition(words, module)))
+    codec = _Codec(alphabet, module.size)
+    shifts = sorted({codec.shifts[i] for i in _torus_reads(U, module)[0]})
+    words = [sum(map(lshift, exps, shifts)) for exps
+             in itertools.product(range(alphabet), repeat=len(shifts))]
+    return sum(n for _, n in _orbit_partition(words, module, codec.width))
 
 
 def epsilon_bound(result, U):

@@ -244,7 +244,7 @@ def test_enumerate_periodic_configs_matches_brute_force():
             expected = [tuple(grid[c] for c in cells) for grid in grids]
             assert enumerate_periodic_configs(T, periods) == expected
             walk = engine._StripWalk(T, FiniteModule(periods), 10 ** 7)
-            reordered += walk.back is not None
+            reordered += walk.a != 0 and not walk.full
             res = periodic_config_search(T, periods)
             if grids:
                 assert res.status == "found" and res.config in grids
@@ -443,7 +443,7 @@ def test_strip_walk_lists_the_module_order_configs():
     reordered = 0
     for T, periods in cases:
         walk = engine._StripWalk(T, FiniteModule(periods), 10 ** 7)
-        reordered += walk.back is not None
+        reordered += walk.a != 0 and not walk.full
         assert enumerate_periodic_configs(T, periods) \
             == module_order_torus_configs(T, periods), periods
     assert reordered
@@ -718,15 +718,25 @@ def test_counter_1_torus_orbit():
 
 
 def test_orbit_partition_matches_translate_table():
-    # orbits by rolling along each axis against the full |cells| x |cells|
-    # translate table: same orbits, same order, on 1-D, 2-D and 3-D tori
+    # orbits by shift-and-mask steps on packed configurations against
+    # the full |cells| x |cells| translate table: the same least member
+    # and size, in the same order, on 1-D, 2-D and 3-D tori, with fields
+    # of 1, 2 and 9 bits
     rng = random.Random(20)
     shapes = [(1,), (5,), (6,), (2, 3), (3, 3), (4, 2), (1, 4), (2, 2, 2),
               (2, 1, 3), (3, 2, 2)]
-    for trial in range(200):
+
+    def orbits(configs, periods, alphabet):
+        module = FiniteModule(periods)
+        codec = engine._Codec(alphabet, module.size)
+        return [(codec.unpack(least), size) for least, size
+                in engine._orbit_partition(list(map(codec.pack, configs)),
+                                           module, codec.width)]
+
+    for trial in range(300):
         periods = shapes[trial % len(shapes)]
         ncells = len(translate_table(periods))
-        alphabet = rng.choice([2, 3])
+        alphabet = rng.choice([2, 3, 257])
         seeds = [tuple(rng.randrange(alphabet) for _ in range(ncells))
                  for _ in range(rng.randint(1, 6))]
         if trial % 2:  # translation-closed, as the torus search lists them
@@ -734,11 +744,12 @@ def test_orbit_partition_matches_translate_table():
                      for t in o]
             rng.shuffle(seeds)
         configs = list(dict.fromkeys(seeds))
-        assert engine._orbit_partition(configs, FiniteModule(periods)) \
-            == reference_orbit_partition(configs, periods), (trial, periods)
+        assert orbits(configs, periods, alphabet) \
+            == [(o[0], len(o)) for o in
+                reference_orbit_partition(configs, periods)], (trial, periods)
     every = list(itertools.product(range(2), repeat=16))
-    assert engine._orbit_partition(every, FiniteModule((4, 4))) \
-        == reference_orbit_partition(every, (4, 4))
+    assert orbits(every, (4, 4), 2) \
+        == [(o[0], len(o)) for o in reference_orbit_partition(every, (4, 4))]
 
 
 def test_torus_measure_lists_translates_in_cell_order():
@@ -790,6 +801,27 @@ def test_compute_H_bounds_random():
         H = compute_H(mod, U, A)
         assert 1 <= H <= A ** mod.size            # bound (A)
         assert H <= mod.size * A ** len(U)        # bound (B)
+
+
+def test_codec_on_wide_and_degenerate_alphabets():
+    # 257 symbols take 9-bit fields: the uniform 1-site base on the
+    # 2-cycle has 257^2 = 66,049 fillings in 257 * 258 / 2 = 33,153
+    # orbits, {(a, b), (b, a)} for a < b and the 257 constant ones, each
+    # member of mass 1/66,049; H counts 2 * 257 - 1 = 513 characters
+    mu = Measure.uniform(Domain.box(1, 1), 257)
+    res = periodic_extension(mu, (2,))
+    assert (res.status, res.config_count) == (FEASIBLE, 66049)
+    assert res.orbits == [((a, b), 1 if a == b else 2, F(1, 66049))
+                          for a in range(257) for b in range(a, 257)]
+    assert epsilon_bound(res, mu.domain) == F(1, 66049 * 513)
+    masses = res.torus_measure.masses
+    assert set(masses) == set(itertools.product(range(257), repeat=2))
+    assert masses[(256, 255)] == masses[(0, 256)] == F(1, 66049)
+    # one symbol still takes a 1-bit field: one filling, one orbit
+    res = periodic_extension(Measure.uniform(Domain.box(2, 2), 1), (2, 2))
+    assert (res.status, res.config_count, res.orbits) \
+        == (FEASIBLE, 1, [((0, 0, 0, 0), 1, 1)])
+    assert res.torus_measure.masses == {(0, 0, 0, 0): 1}
 
 
 def test_epsilon_bound_value():
