@@ -130,7 +130,7 @@ def cmd_perconfig(args):
 def cmd_fourier(args):
     mu = _load_measure(args.measure)
     coeffs = harmonic.fourier_transform(mu)
-    ok, witness = harmonic.check_stationarity_fourier(mu)
+    ok = is_locally_stationary(mu).ok
     table = {}
     for chi, c in coeffs.items():
         key = ";".join(f"{word_key(p)}:{e}" for p, e

@@ -278,22 +278,11 @@ class _PatternSearch:
                 prev = self.nslots
                 self.nslots += 1
 
-    def run(self, node_cap, collect=None, config_cap=None):
-        """Depth-first fill; returns the first solution or None.
-
-        With `collect` (a list), gathers every solution instead, in
-        lexicographic order, up to config_cap.  Each symbol tried counts
-        as one node; a search that returns, or stops at config_cap,
-        leaves its count in `nodes`.  Raises SearchBudget when a cap is
-        exceeded.
-        """
-        if collect is None:
-            return next(self.fillings(node_cap), None)
-        for values in self.fillings(node_cap):
-            collect.append(values)
-            if config_cap is not None and len(collect) > config_cap:
-                raise SearchBudget("too many admissible configurations")
-        return None
+    def run(self, node_cap):
+        """The first solution in lexicographic order, or None.  Each
+        symbol tried counts as one node, and the count is left in
+        `nodes`; raises SearchBudget past node_cap nodes."""
+        return next(self.fillings(node_cap), None)
 
     def fillings(self, node_cap):
         """The solutions in lexicographic order, one at a time; `nodes`
@@ -365,21 +354,17 @@ def fill_window(T, W, node_cap=10 ** 7):
     return dict(zip(W.points, found))
 
 
-def default_window_schedule(dim, max_side):
-    return [Domain.box(dim, n) for n in range(1, max_side + 1)]
-
-
 def _fitting_windows(U, max_side):
-    """The boxes of default_window_schedule that hold a translate of U:
-    a box of side n does exactly when n is at least every extent of U's
+    """The boxes of side 1 to max_side that hold a translate of U: a box
+    of side n does exactly when n is at least every extent of U's
     bounding box.  An empty U raises ValueError, as translates_inside
-    does, unless the schedule is empty."""
-    boxes = default_window_schedule(U.dim, max_side)
-    if not boxes:
-        return boxes
+    does, unless max_side < 1."""
+    if max_side < 1:
+        return []
     if not U.points:
         raise ValueError("empty translate pattern")
-    return boxes[max((hi - lo for lo, hi in U.bounding_box()), default=0):]
+    least = max((hi - lo for lo, hi in U.bounding_box()), default=0) + 1
+    return [Domain.box(U.dim, n) for n in range(least, max_side + 1)]
 
 
 @dataclass(frozen=True)
@@ -489,7 +474,7 @@ class _StripWalk:
     order: slice-major along a, module order when a = 0.  A strip is e
     slices stacked along a, not wrapped along a and wrapped on the other
     axes.  Its placements are folded U at every residue r of the other
-    axes.
+    axes: _reads in the layout, with span 1 along a.
 
     Claim: a filling with slices x_0, ..., x_(P-1) is admissible if and
     only if each window x_k, ..., x_(k+e-1), indices mod P, is an
@@ -517,18 +502,22 @@ class _StripWalk:
     only when c_(r-1)(w) > 0, so no prefix is a dead end.  After P -
     (e - 1) steps the other e - 1 are forced, as they append the start's
     slices, so they are not branched over.  Starts are taken in sorted
-    order and each state's edges in order of the slice they append, so
-    the walks come in lexicographic layout order.
+    order and each state's edges in order of the slice they append, and
+    the walks are listed layer by layer (_walks), so they come in
+    lexicographic layout order.
 
-    Each strip search node and each walk step costs one node of
-    node_cap, and the graph costs S P E nodes, a bound on the edge terms
-    of counting every start, for S states (those that begin a strip)
-    and E strips.  The strip search stops as soon as the states and
-    strips it has listed charge past node_cap; then `fill` is the
-    pattern search over all n cells in the walk's layout, wrapped along
-    a too, given the nodes the strip search left.  A word set holding
-    every word (`full`) prunes nothing: `every` checks its budgets by
-    arithmetic (_check_every_filling) and lists the A^n fillings at once.
+    Each strip search node and each walk prefix costs one node of
+    node_cap, as many as a depth-first search over the walks would try;
+    `first` keeps one prefix per layer (limit=1), one node per step.
+    The graph costs S P E nodes, a bound on the edge terms of counting
+    every start, for S states (those that begin a strip) and E strips.
+    The strip search stops as soon as the states and strips it has
+    listed charge past node_cap; then `fill` is the pattern search over
+    all n cells in the walk's layout, wrapped along a too (spans equal
+    to the periods), given the nodes the strip search left.  A word set
+    holding every word (`full`) prunes nothing: `every` checks its
+    budgets by arithmetic (_check_every_filling) and lists the A^n
+    fillings at once.
     A filling is packed (`codec`) in module order; shifts[j] holds the
     bit offsets of slice j's m cells, in layout order, so a walk ors in
     each slice where it lies.
@@ -546,19 +535,20 @@ class _StripWalk:
         self.m = m = n // P
         self.node_cap = node_cap
         self.codec = _Codec(A, n)
-        rest = periods[:a] + periods[a + 1:]
-        at = {r: i for i, r in enumerate(itertools.product(*map(range, rest)))}
-        # strip cell j * m + at[r]: slice j along a, residue r of the others
-        reads = [[(u[a] - lo) % P * m + at[tuple(
-            (x + t) % p for x, t, p in zip(u[:a] + u[a + 1:], r, rest))]
-            for u in U.points] for r in at]
-        s = n // math.prod(periods[:a + 1])   # the stride of axis a
+        # U folded along a; in the layout, the other axes in module order
+        folded = [u[:a] + ((u[a] - lo) % P,) + u[a + 1:] for u in U.points]
+        spans = periods[:a] + (1,) + periods[a + 1:]    # one slice along a
+        strides = _strides(spans)
+        strides[a] = m
+        s = _strides(periods)[a]
         self.shifts = [[self.codec.shifts[r // s * P * s + j * s + r % s]
                         for r in range(m)] for j in range(P)]
         self.full = len(T.words) == A ** len(U)
         self.fill, self.nodes = None, 0
         if not self.full:
-            search = _PatternSearch(A, self.e * m, reads, T.words)
+            search = _PatternSearch(A, self.e * m,
+                                    _reads(folded, periods, strides, spans),
+                                    T.words)
             k = (self.e - 1) * m     # symbols in a state
             self.ids = ids = {}      # state -> number, in sorted order
             strips = []
@@ -578,9 +568,8 @@ class _StripWalk:
                         edges[ids[strip[:k]]].append((strip[k:], w))
                 return
             self.nodes = search.nodes
-        self.fill = _PatternSearch(A, n, [[(c + j * m) % n for c in p]
-                                          for j in range(P) for p in reads],
-                                   T.words)
+        self.fill = _PatternSearch(A, n, _reads(folded, periods, strides,
+                                                periods), T.words)
 
     def _pack(self, values, j=0):
         """Slices j, j + 1, ... in layout order, packed where they lie."""
@@ -591,28 +580,28 @@ class _StripWalk:
         first closed walk, starts taken lazily, or else the fill's first."""
         if self.fill:
             found = self.fill.run(self.node_cap - self.nodes)
-            found = found and self._pack(found)     # None, or packed
-        else:
-            start = next(self._closed_starts(), None)
-            if start is None:
-                return None
-            self._charge(self.e - 1)     # the forced steps
-            found = next(self._walks(*start))
-        return None if found is None else self.codec.unpack(found)
+            return found and self.codec.unpack(self._pack(found))
+        start = next(self._closed_starts(), None)
+        if start is None:
+            return None
+        self._charge(self.e - 1)     # the forced steps
+        found, = self._walks(*start, limit=1)
+        return self.codec.unpack(found)
 
     def every(self, config_cap):
-        """Every admissible filling, packed in module order, sorted; the
-        closed walks are counted before any is listed.  Past config_cap
-        raises SearchBudget."""
+        """Every admissible filling, packed in module order, sorted: the
+        closed walks are counted before any is listed, the fill's fillings
+        are listed before any is packed.  Past config_cap: SearchBudget."""
         if self.full:
             _check_every_filling(self.codec.alphabet, self.codec.ncells,
                                  self.node_cap, config_cap)
             return self.codec.every()
         if self.fill:
-            out = []
-            self.fill.run(self.node_cap - self.nodes, collect=out,
-                          config_cap=config_cap)
-            return sorted(map(self._pack, out))
+            found = list(itertools.islice(self.fill.fillings(
+                self.node_cap - self.nodes), config_cap + 1))
+            if len(found) > config_cap:
+                raise SearchBudget("too many admissible configurations")
+            return sorted(map(self._pack, found))
         starts = list(self._closed_starts())
         total = sum(live[0][s] for _, s, live in starts)
         if total > config_cap:
@@ -644,37 +633,25 @@ class _StripWalk:
             if s in live[0]:
                 yield x, s, live
 
-    def _walks(self, x, s, live):
-        """The closed walks from start x, numbered s, as packed fillings,
-        in layout order; one node per step that chooses a slice (the
-        caller charges the forced ones)."""
+    def _walks(self, x, s, live, limit=None):
+        """The closed walks from start x, numbered s, as packed fillings
+        in layout order, or their first `limit`: layer by layer, each
+        prefix (packed filling, state) extended by its live steps in
+        order, at most `limit` prefixes kept per layer, one node charged
+        per prefix (the caller charges the forced steps)."""
         e = self.e
-        free = self.P - (e - 1)   # steps that choose a slice, >= 1
-        # the live steps at each depth, each slice packed where it lies
-        steps = [{v: [(self._pack(y, e - 1 + d), w) for y, w in self.edges[v]
-                      if w in live[d + 1]] for v in live[d]}
-                 for d in range(free)]
-        filled = [self._pack(x)] + [0] * free  # the start and d slices
-        its = [iter(steps[0][s])] + [None] * (free - 1)
-        d, nodes = 0, self.nodes
-        while d >= 0:
-            step = next(its[d], None)
-            if step is None:
-                d -= 1
-                continue
-            nodes += 1
-            if nodes > self.node_cap:
-                raise SearchBudget("node budget exceeded")
-            y, w = step
-            filled[d + 1] = filled[d] | y
-            d += 1
-            if d == free:
-                self.nodes = nodes
-                yield filled[d]
-                d -= 1
-            else:
-                its[d] = iter(steps[d][w])
-        self.nodes = nodes
+        layer = [(self._pack(x), s)]
+        for d in range(self.P - (e - 1)):     # the steps that choose a slice
+            after = live[d + 1]
+            # each state's live steps, its slice packed where it lies
+            steps = {v: [(self._pack(y, e - 1 + d), w) for y, w
+                         in self.edges[v] if w in after]
+                     for v in {v for _, v in layer}}
+            layer = [(f | y, w) for f, v in layer for y, w in steps[v]]
+            if limit:
+                del layer[limit:]
+            self._charge(len(layer))
+        return [f for f, _ in layer]
 
 
 @dataclass(frozen=True)
@@ -748,6 +725,11 @@ class PeriodicExtensionResult:
         return Measure(cells, self.alphabet, masses)
 
 
+def _strides(periods):
+    """The stride of each axis in module order, first axis outermost."""
+    return [math.prod(periods[a + 1:]) for a in range(len(periods))]
+
+
 def _unit_steps(periods, width):
     """One (r, keep, l, wrap) per axis of period > 1: a configuration t
     packed in fields of `width` bits (_Codec) steps by one cell along
@@ -755,10 +737,9 @@ def _unit_steps(periods, width):
     s each block of p * s cells rolls by s: cell i reads cell i - s, or
     on the block's first s cells (`wrap`) cell i + (p - 1) s.  The masks
     are read from bit strings; no |cells| x |cells| table is built."""
-    n = stride = math.prod(periods)
+    n = math.prod(periods)
     steps = []
-    for p in periods:
-        stride //= p
+    for p, stride in zip(periods, _strides(periods)):
         if p > 1:
             r = stride * width
             wrap = int(("1" * r + "0" * (p - 1) * r) * (n // (p * stride)), 2)
@@ -799,14 +780,14 @@ def _orbit_partition(configs, module, width):
     return orbits
 
 
-def _torus_reads(U, module):
-    """_placements of U at every cell of the torus, in module.elements()
-    order: u + t is cell sum_a ((u_a + t_a) mod p_a) * stride_a."""
-    periods = module.periods
-    strides = [math.prod(periods[a + 1:]) for a in range(len(periods))]
+def _reads(points, periods, strides, spans):
+    """The cells read by each placement points + t on a torus, t_a in
+    range(spans[a]), in product order: u + t is cell sum_a ((u_a + t_a)
+    mod p_a) * strides[a].  Module strides and spans equal to the periods
+    read the points at every cell, in module.elements() order."""
     return list(zip(*([sum(c) for c in itertools.product(*(
-        [(x + t) % p * s for t in range(p)]
-        for x, p, s in zip(u, periods, strides)))] for u in U.points)))
+        [(x + t) % p * s for t in range(k)]
+        for x, p, s, k in zip(u, periods, strides, spans)))] for u in points)))
 
 
 def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
@@ -840,7 +821,9 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     orbits = [(walk.codec.unpack(least), size) for least, size
               in _orbit_partition(configs, module, walk.codec.width)]
     names = [f"y{o}" for o in range(len(orbits))]
-    system = _class_lp(mu, orbits, names, [_torus_reads(mu.domain, module)])
+    system = _class_lp(mu, orbits, names, [_reads(
+        mu.domain.points, module.periods, _strides(module.periods),
+        module.periods)])
 
     warm = {v: Fraction(1, len(configs)) for v in names} if configs else None
     sol = solve_feasibility(system, pivot_limit=pivot_limit, warm_start=warm)
@@ -873,8 +856,9 @@ def pullback_periodic(result, W):
               for _, size, mass in result.orbits]
     out = defaultdict(int)
     # (word, share) pairs counted over every read of every orbit at once
-    for (u, share), k in _read_counts(least, shares,
-                                      _torus_reads(W, module)).items():
+    reads = _reads(W.points, module.periods, _strides(module.periods),
+                   module.periods)
+    for (u, share), k in _read_counts(least, shares, reads).items():
         out[u] += share * k
     den = lcm * module.size
     return Measure(W, result.alphabet,
@@ -891,7 +875,9 @@ def compute_H(module, U, alphabet):
     trivial character included).
     """
     codec = _Codec(alphabet, module.size)
-    shifts = sorted({codec.shifts[i] for i in _torus_reads(U, module)[0]})
+    origin, = _reads(U.points, module.periods, _strides(module.periods),
+                     (1,) * module.dim)
+    shifts = sorted({codec.shifts[i] for i in origin})
     words = [sum(map(lshift, exps, shifts)) for exps
              in itertools.product(range(alphabet), repeat=len(shifts))]
     return sum(n for _, n in _orbit_partition(words, module, codec.width))

@@ -9,6 +9,7 @@ arguments to go through.
 """
 
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -135,14 +136,12 @@ def translates_inside(V, W):
     return out
 
 
-def _placements(U, cells, shifts, wrap=tuple):
-    """Cell indices read by each placement U + t, t in shifts, in word order.
-
-    `cells` is the Domain of cells: a window, or the cells of a torus.
-    `wrap` maps a lattice point to its cell: the identity on a window,
-    reduction modulo the periods on a torus.
+def _placements(U, cells, shifts):
+    """Cell indices read by each placement U + t, t in shifts, in word
+    order, where `cells` is the window Domain holding every placement.
+    A torus reads its placements by arithmetic instead (engine._reads).
     """
-    return [[cells.index(wrap(add(u, t))) for u in U.points] for t in shifts]
+    return [[cells.index(add(u, t)) for u in U.points] for t in shifts]
 
 
 def _overlaps(domain):
@@ -185,10 +184,7 @@ class FiniteModule:
 
     @property
     def size(self):
-        n = 1
-        for p in self.periods:
-            n *= p
-        return n
+        return math.prod(self.periods)
 
     def quotient(self, p):
         """Reduce a lattice point coordinatewise modulo the periods."""

@@ -578,10 +578,8 @@ def module_order_torus_configs(T, periods):
     cells = Domain(module.dim, module.elements())
     placements = [[cells.index(module.quotient(add(u, t)))
                    for u in T.domain.points] for t in cells.points]
-    out = []
-    engine._PatternSearch(T.alphabet, len(cells), placements,
-                          T.words).run(10 ** 7, collect=out)
-    return out
+    return list(engine._PatternSearch(T.alphabet, len(cells), placements,
+                                      T.words).fillings(10 ** 7))
 
 
 def reference_compute_H(module, U, alphabet):

@@ -255,7 +255,8 @@ def test_fourier_keys_are_pinned(write_json, capsys):
 
 def test_fourier_sums_no_coefficient_directly(write_json, capsys,
                                               monkeypatch):
-    # every coefficient, shifted ones included, comes from a table
+    # every coefficient, shifted ones included, comes from a table, in
+    # the CLI and in the frequency-domain stationarity check
     def direct(mu, chi):
         raise AssertionError("a coefficient was summed directly")
     monkeypatch.setattr(harmonic, "fourier_coeff", direct)
@@ -265,6 +266,22 @@ def test_fourier_sums_no_coefficient_directly(write_json, capsys,
         path = write_json("mu.json", mu.to_json_dict())
         code, _ = run(capsys, ["fourier", path])
         assert code in (0, 1)
+        harmonic.check_stationarity_fourier(mu)
+
+
+def test_fourier_stationarity_is_decided_exactly(write_json, capsys):
+    # the overlap marginals differ by 10^-12, below the float check's
+    # tolerance: fourier reports what stationary and refute decide
+    path = write_json("near.json", {
+        "dim": 1, "alphabet": 2, "domain": [[0], [1]],
+        "masses": {"0,0": "1/4", "0,1": "250000000001/1000000000000",
+                   "1,0": "249999999999/1000000000000", "1,1": "1/4"}})
+    assert harmonic.check_stationarity_fourier(
+        cli._load_measure(path))[0] is True
+    code, out = run(capsys, ["fourier", path])
+    assert (code, json.loads(out)["stationary"]) == (1, False)
+    assert run(capsys, ["stationary", path])[0] == 1
+    assert run(capsys, ["refute", path])[0] == 1
 
 
 def test_fourier_on_a_12_site_window(write_json, capsys):

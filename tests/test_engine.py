@@ -254,12 +254,9 @@ def test_enumerate_periodic_configs_matches_brute_force():
     assert reordered and one_cell
 
 
-def test_strip_walk_matches_brute_force():
-    # seeded pruned word sets on 1-D, 2-D and 3-D tori: the closed walks
-    # over admissible strips list exactly the brute-force fillings, in
-    # order, whichever axis they walk (a), however the folded extent e
-    # of the word domain along it compares with its period P, and when
-    # the arc it is folded onto wraps past P - 1
+def seeded_strip_tori():
+    """(T, periods) for 150 seeded pruned word sets on 1-D, 2-D and 3-D
+    tori."""
     rng = random.Random(23)
     domains = {
         1: [Domain.box(1, 1), Domain.interval(0, 1), Domain.interval(0, 2),
@@ -270,7 +267,6 @@ def test_strip_walk_matches_brute_force():
             Domain(3, [(0, 0, 0), (1, 1, 0), (0, 1, 1)])],
     }
     most = {1: 7, 2: 3, 3: 2}     # largest period per axis
-    seen = set()
     for trial in range(150):
         dim = (1, 2, 3)[trial % 3]
         U = rng.choice(domains[dim])
@@ -278,7 +274,18 @@ def test_strip_walk_matches_brute_force():
         A = rng.choice([2, 3]) if dim == 1 else 2
         allw = list(itertools.product(range(A), repeat=len(U)))
         words = [w for w in allw if rng.random() < 0.7][:len(allw) - 1]
-        T = WordSet(U, A, words or [allw[0]])
+        yield WordSet(U, A, words or [allw[0]]), periods
+
+
+def test_strip_walk_matches_brute_force():
+    # the closed walks over admissible strips list exactly the
+    # brute-force fillings, in order, whichever axis they walk (a),
+    # however the folded extent e of the word domain along it compares
+    # with its period P, and when the arc it is folded onto wraps past
+    # P - 1
+    seen = set()
+    for T, periods in seeded_strip_tori():
+        U = T.domain
         walk = engine._StripWalk(T, FiniteModule(periods), 10 ** 7)
         assert walk.fill is None
         a, P, e = walk.a, walk.P, walk.e
@@ -288,11 +295,26 @@ def test_strip_walk_matches_brute_force():
         seen.add(f"a={a}")
         if lo + e > P:
             seen.add("wraps")
-        grids = brute_force_torus_configs(U, A, T.words, periods)
+        grids = brute_force_torus_configs(U, T.alphabet, T.words, periods)
         cells = FiniteModule(periods).elements()
         assert enumerate_periodic_configs(T, periods) \
             == [tuple(grid[c] for c in cells) for grid in grids]
     assert seen == {"e=1", "e<P", "e=P", "wraps", "a=0", "a=1", "a=2"}
+
+
+def test_first_walk_heads_the_full_listing():
+    # a listing that keeps one prefix per layer gives the first closed
+    # walk from each start, one node per step
+    starts = 0
+    for T, periods in seeded_strip_tori():
+        walk = engine._StripWalk(T, FiniteModule(periods), 10 ** 7)
+        for start in walk._closed_starts():
+            nodes = walk.nodes
+            first = walk._walks(*start, limit=1)
+            assert walk.nodes - nodes == walk.P - (walk.e - 1)
+            assert first == walk._walks(*start)[:1]
+            starts += 1
+    assert starts
 
 
 def test_folded_word_domain_is_walked():
@@ -311,20 +333,15 @@ def test_folded_word_domain_is_walked():
             == [tuple(grid[(i,)] for i in range(P)) for grid in grids]
 
 
-def test_sparse_word_domain_fills_the_torus_cell_by_cell(monkeypatch):
+def test_sparse_word_domain_fills_the_torus_cell_by_cell():
     # U = {0, 5} folds onto 6 of the 11 residues: its strips and states
     # would charge past a node budget of 10^4, so the strip search stops
     # and the 11-cycle is filled by one pattern search over all its
     # cells, which lists the brute-force fillings
     U = Domain(1, [(0,), (5,)])
     T = WordSet(U, 2, [(0, 0), (0, 1), (1, 0)])
-    calls = []
-
-    def run(self, *args, **kwargs):
-        calls.append(self.ncells)
-        return real(self, *args, **kwargs)
-    real = engine._PatternSearch.run
-    monkeypatch.setattr(engine._PatternSearch, "run", run)
+    module = FiniteModule((11,))
+    assert engine._StripWalk(T, module, 10 ** 4).fill is not None
     grids = brute_force_torus_configs(U, 2, T.words, (11,))
     assert len(grids) == 199
     assert enumerate_periodic_configs(T, (11,), node_cap=10 ** 4) \
@@ -333,12 +350,28 @@ def test_sparse_word_domain_fills_the_torus_cell_by_cell(monkeypatch):
     assert res.status == "found"
     assert [res.config[(i,)] for i in range(11)] in \
         [[grid[(i,)] for i in range(11)] for grid in grids]
-    assert calls == [11, 11]
     # walked under the default budget, with the same list
-    calls.clear()
+    assert engine._StripWalk(T, module, 10 ** 7).fill is None
     assert enumerate_periodic_configs(T, (11,)) \
         == [tuple(grid[(i,)] for i in range(11)) for grid in grids]
-    assert calls == []
+
+
+def test_aborted_cell_by_cell_listing_packs_nothing(monkeypatch):
+    # the fill lists its fillings as tuples and packs them only once all
+    # are listed, so an abort at config_cap packs none of them
+    packs = []
+
+    def spy(self, *args):
+        packs.append(args)
+        return real(self, *args)
+    real = engine._StripWalk._pack
+    monkeypatch.setattr(engine._StripWalk, "_pack", spy)
+    T = WordSet(Domain(1, [(0,), (5,)]), 2, [(0, 0), (0, 1), (1, 0)])
+    with pytest.raises(SearchBudget,
+                       match="too many admissible configurations"):
+        enumerate_periodic_configs(T, (11,), node_cap=10 ** 4,
+                                   config_cap=100)
+    assert packs == []
 
 
 def test_enumerate_periodic_configs_dimension_mismatch():
@@ -517,8 +550,7 @@ def test_full_word_set_search_counts_its_nodes():
     T = support_word_set(Measure.uniform(Domain.interval(0, 1), 2))
     search = engine._PatternSearch(2, 4, [[i, (i + 1) % 4] for i in range(4)],
                                    T.words)
-    out = []
-    search.run(10 ** 7, collect=out)
+    out = list(search.fillings(10 ** 7))
     assert (len(out), search.nodes) == (16, 30)
 
 
