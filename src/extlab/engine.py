@@ -7,7 +7,8 @@ Four families of tools:
 * subshift-of-finite-type searches: admissible window configurations
   and periodic (torus) configurations for a finite word set;
 * periodic extensions: exact LPs over shift-invariant measures on a
-  finite quotient torus, solved as one weight per translation orbit;
+  finite quotient torus, solved as one weight per class of the
+  translation orbits that the base's symmetries map onto each other;
   pullbacks and quantitative bounds read those orbit weights;
 * a refutation pipeline combining entropy chains, SFT emptiness, and
   growing-window LP infeasibility.
@@ -21,6 +22,7 @@ order is lexicographic, and a unit translation is a shift-and-mask pair
 (_unit_steps); tuples appear only at the public boundaries.
 """
 
+import bisect
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -36,7 +38,7 @@ from .measures import (Measure, _entropy_chain,
                        is_locally_stationary, support_word_set, word_key)
 from .lp import (LinearSystem, solve_feasibility, enumerate_vertices,
                  FEASIBLE, INFEASIBLE, ABORTED, DEFAULT_PIVOT_LIMIT)
-from .symmetry import stabiliser, solve_quotient
+from .symmetry import stabiliser, solve_quotient, _word_image
 
 
 def _var(word):
@@ -47,7 +49,7 @@ def _var(word):
 # the extension LP
 
 
-def _class_lp(mu, classes, names, placements, overlaps=()):
+def _class_lp(mu, classes, names, placements, overlaps=(), word_maps=()):
     """The exact LP of a measure on configurations that is constant on
     each class, locally stationary across the overlaps, and has base
     marginal mu at every placement.
@@ -58,20 +60,26 @@ def _class_lp(mu, classes, names, placements, overlaps=()):
     representative reads u k times across them, k * size / len(reads)
     members read u there.  Overlaps (left, right) read the representative
     alone.  Variable names[i] >= 0 is the mass of each member of
-    classes[i].  The rows are, in this order:
+    classes[i]; classes that share a name share the variable, and must
+    then have one size.  The rows are, in this order:
 
     * total mass 1: the sum of size * x over the classes;
     * per overlap, per word b read at either side, in order of first
       appearance: the classes reading b at left minus those reading it
       at right, == 0; all-zero rows are dropped;
     * per placement, per word u read there or in the support of mu, in
-      sorted order: the members reading u, == mu[u].
+      sorted order: the members reading u, == mu[u].  A word map
+      (positions, pi) sends u to symmetry._word_image(u, positions, pi);
+      where the maps send u to a lesser word, u's row equals that word's
+      and is left out.  A map under which the two rows differ is no
+      symmetry of the LP: AssertionError.
 
     The window polytope (one class per window word, one read per
     translate of the base domain, the maximal overlaps) and the torus LP
     (the translation orbits of the admissible configurations, each read
     through its least member at the base domain translated by every
-    cell, no overlaps) are this LP.
+    cell, no overlaps, and the orbits that the base's symmetries map onto
+    each other sharing one name) are this LP.
     Their verdicts weigh differently.  An infeasible window is a
     refutation: every stationary extension of mu restricts to a point of
     it.  A feasible window proves nothing.  A feasible torus is a
@@ -79,11 +87,14 @@ def _class_lp(mu, classes, names, placements, overlaps=()):
     the extensions with those periods.
     """
     system = LinearSystem()
-    for name in names:
+    size = {v: n for v, (_, n) in zip(names, classes)}
+    total = Counter()
+    for v, (_, n) in zip(names, classes):
+        total[v] += n
+    for name in total:
         system.add_variable(name, nonneg=True)
     reps = [rep for rep, _ in classes]
-    size = {v: n for v, (_, n) in zip(names, classes)}
-    system.add_eq(size, 1)
+    system.add_eq(total, 1)
     for left, right in overlaps:
         rows = defaultdict(Counter)
         for v, b, c in zip(names, map(_reader(left), reps),
@@ -98,7 +109,12 @@ def _class_lp(mu, classes, names, placements, overlaps=()):
         for (u, v), k in _read_counts(reps, names, reads).items():
             rows[u][v] = k * size[v] // len(reads)
         for u in sorted(rows.keys() | mu.support()):
-            system.add_eq(rows[u], mu[u])
+            least = min([u] + [_word_image(u, *h) for h in word_maps])
+            if least == u:
+                system.add_eq(rows[u], mu[u])
+            elif (rows[u], mu[u]) != (rows[least], mu[least]):
+                raise AssertionError(f"a symmetry maps the row of {u} onto "
+                                     "a different row")
     return system
 
 
@@ -762,22 +778,74 @@ def _translates(cfg, steps):
     return out
 
 
-def _orbit_partition(configs, module, width):
+def _orbit_partition(configs, module, width, group=()):
     """(least member, size) of each translation orbit of the packed
     configurations, in order of the orbit's first configuration.
 
     An orbit holds every translate of its configurations, whether or not
     that translate is in `configs` (compute_H counts such translates).
+
+    Given `group` (symmetry.stabiliser on the torus box, its positions
+    read in module order) and `configs` sorted, the entries are (least,
+    size, class), sorted by least member, and a class is the union of the
+    orbits the group maps onto each other, numbered in order of its
+    least member.  Each element is applied only to the first
+    configuration of a new class: every member is t h x for a translation
+    t, and g t h x = t' g h x.  An image outside `configs`, or on an orbit
+    of another size than the class's first, raises AssertionError.
     """
     steps = _unit_steps(module.periods, width)
-    orbits = []
-    done = set()
+    shifts = range((module.size - 1) * width, -1, -width)
+    mask = (1 << width) - 1
+    # per element, the bit offset each image cell reads, and the symbol map
+    maps = []
+    for positions, pi in group[1:]:
+        src = [0] * module.size
+        for i, j in enumerate(positions):
+            src[j] = shifts[i]
+        maps.append((src, pi))
+    orbits, done, k = [], set(), 0
     for cfg in configs:
-        if cfg not in done:
-            orbit = _translates(cfg, steps)
-            orbits.append((min(orbit), len(orbit)))
+        if cfg in done:
+            continue
+        images = [cfg] + [sum(map(lshift, [pi[cfg >> r & mask] for r in src],
+                                  shifts)) for src, pi in maps]
+        for image in images:
+            if image in done:
+                continue
+            orbit = _translates(image, steps)
+            if image != cfg:
+                i = bisect.bisect_left(configs, image)
+                if configs[i:i + 1] != [image] or len(orbit) != orbits[-1][1]:
+                    raise AssertionError("a symmetry maps an admissible "
+                                         "orbit onto no admissible orbit "
+                                         "of its size")
+            orbits.append((min(orbit), len(orbit), k))
             done.update(orbit)
-    return orbits
+        k += 1
+    if group:
+        return sorted(orbits)
+    return [(least, size) for least, size, _ in orbits]
+
+
+def _word_maps(group, reads):
+    """Each non-identity element's map of the words read at a placement,
+    as (positions, pi) for symmetry._word_image: the element maps the
+    cells of the placement reads[0] onto those of a placement Q, and a
+    word u read at reads[0] onto the word read at Q.  An image that is
+    no placement raises AssertionError."""
+    if len(group) < 2:
+        return []
+    at = {frozenset(q): q for q in reversed(reads)}
+    out = []
+    for positions, pi in group[1:]:
+        image = [positions[c] for c in reads[0]]
+        q = at.get(frozenset(image))
+        if q is None:
+            raise AssertionError("a symmetry maps a placement of the base "
+                                 "domain onto no placement")
+        out.append(([q.index(c) for c in image], pi))
+    return out
 
 
 def _reads(points, periods, strides, spans):
@@ -797,6 +865,22 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     Exact in both directions: any invariant measure on the torus whose
     base marginal is mu must be supported on admissible configurations
     and constant on translation orbits, so the reduced LP loses nothing.
+
+    The LP is solved on its quotient by G, the base's symmetries on the
+    torus box (symmetry.stabiliser): one variable per class of the
+    translation orbits that G maps onto each other (_orbit_partition).
+    Each element of G maps admissible configurations onto admissible
+    ones, translation orbits onto translation orbits of the same size,
+    and the marginal row of each word onto the row of its image, whose
+    mass under mu is the same.  So the average of a feasible point over
+    G is a feasible point constant on the classes, and an infeasible
+    quotient is an infeasible torus.  The guard: an element that maps
+    an admissible configuration outside the admissible set or onto an
+    orbit of another size, the base domain onto no placement, or a
+    marginal row onto a different row raises AssertionError rather than
+    return a verdict.  A feasible
+    quotient gives each member of every orbit of a class the class's
+    mass, and the result is re-checked exactly against mu.
     """
     res = is_locally_stationary(mu)
     if not res.ok:
@@ -818,12 +902,15 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     except SearchBudget as exc:
         return PeriodicExtensionResult(ABORTED, module, mu.alphabet, [],
                                        warning, reason=str(exc))
-    orbits = [(walk.codec.unpack(least), size) for least, size
-              in _orbit_partition(configs, module, walk.codec.width)]
-    names = [f"y{o}" for o in range(len(orbits))]
-    system = _class_lp(mu, orbits, names, [_reads(
-        mu.domain.points, module.periods, _strides(module.periods),
-        module.periods)])
+    group = stabiliser(mu, Domain.box(module.dim, module.periods)) \
+        if configs else ()
+    partition = _orbit_partition(configs, module, walk.codec.width, group)
+    orbits = [(walk.codec.unpack(least), size) for least, size, _ in partition]
+    names = [f"y{k}" for _, _, k in partition]
+    reads = _reads(mu.domain.points, module.periods,
+                   _strides(module.periods), module.periods)
+    system = _class_lp(mu, orbits, names, [reads],
+                       word_maps=_word_maps(group, reads))
 
     warm = {v: Fraction(1, len(configs)) for v in names} if configs else None
     sol = solve_feasibility(system, pivot_limit=pivot_limit, warm_start=warm)

@@ -1,4 +1,5 @@
-"""Symmetries of a window polytope, and its feasibility LP on their quotient.
+"""Symmetries of a base on a window or a torus, and the window LP on
+their quotient.
 
 A window polytope S(W) (engine.build_window_polytope) has one variable per
 word of A^W, in itertools.product order.  Its symmetry group G is made of
@@ -16,6 +17,13 @@ The average of a point over G is then a point of S(W) constant on every
 G-orbit of words, so S(W) is empty exactly when its restriction to such
 points is.  solve_quotient solves that restriction, one variable per
 orbit; see ExtensionPolytope.solve for what each verdict rests on.
+
+On a torus, W is the box of the periods, whose points are the torus
+cells in module order.  A kept g maps that box onto itself, so it
+permutes the cells, commutes with the translations up to a translation,
+and maps each torus placement of U onto another.  The torus LP
+(engine.periodic_extension) merges the translation orbits that G maps
+onto each other into one variable, by the same averaging argument.
 """
 
 import itertools
@@ -34,7 +42,7 @@ def _index_map(domain, axes, signs):
               for p in domain.points]
     # the lexicographically least point moves with any translation
     t = sub(domain.points[0], min(images))
-    position = {p: i for i, p in enumerate(domain.points)}
+    position = domain._position
     out = [position.get(tuple(a + b for a, b in zip(q, t))) for q in images]
     return None if None in out else out
 
@@ -44,23 +52,37 @@ def stabiliser(mu, W):
     identity first: the configuration x maps to the y with
     y[positions[i]] = pi[x[i]], positions read in W.points order.
 
-    Each candidate pair is tested on supp(mu) alone, so a base with no
-    symmetry costs one pass over its support per signed axis permutation
-    that keeps the shapes of W and U.
+    An axis permutation that sends a side of W's bounding box to one of
+    another length maps W onto no translate, and is skipped.  Each
+    signed axis permutation maps U (a few sites) first, each candidate
+    pair but the identity is tested on supp(mu) alone, and W (up to the
+    cell cap) is mapped only once a pair passes; so a base with no
+    symmetry costs at most one pass over its support per signed axis
+    permutation that keeps the shape of U.
     """
     A, dim = mu.alphabet, W.dim
     pis = (list(itertools.permutations(range(A))) if A <= 4
            else [tuple(range(A))])
+    masses = mu.masses
+    sides = [hi - lo for lo, hi in W.bounding_box()]
     group = []
     for axes in itertools.permutations(range(dim)):
+        if any(sides[a] != side for a, side in zip(axes, sides)):
+            continue
         for signs in itertools.product((1, -1), repeat=dim):
-            on_w = _index_map(W, axes, signs)
-            on_u = on_w and _index_map(mu.domain, axes, signs)
+            on_u = _index_map(mu.domain, axes, signs)
             if not on_u:
                 continue
+            on_w = None
             for pi in pis:
-                if all(mu[_word_image(w, on_u, pi)] == m
-                       for w, m in mu.masses.items()):
+                if not group:     # the first pair tried is the identity
+                    on_w = list(range(len(W)))
+                    group.append((on_w, pi))
+                elif all(masses.get(_word_image(w, on_u, pi)) == m
+                         for w, m in masses.items()):
+                    on_w = on_w or _index_map(W, axes, signs)
+                    if not on_w:
+                        break
                     group.append((on_w, pi))
     return group
 

@@ -486,14 +486,15 @@ def test_torus_cell_cap_exit_code(write_json, capsys, monkeypatch):
 
 
 def test_tableau_cap_exit_code(write_json, capsys, monkeypatch):
-    # biased_pair on the 4-cycle: 6 orbits, 5 rows, 60 tableau entries,
-    # and the uniform warm start fails its check
+    # biased_pair on the 4-cycle: its 6 orbits fall into 4 classes under
+    # reversal and the symbol swap, its 4 words into 2, so 3 rows and 24
+    # tableau entries, and the uniform warm start fails its check
     path = write_json("good.json", biased_pair().to_json_dict())
-    monkeypatch.setenv("EXTLAB_CAP_CELLS", "59")
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "23")
     assert main(["periodic", path, "--period", "4"]) == 3
-    assert "simplex tableau needs 5 x 12 = 60 entries" \
+    assert "simplex tableau needs 3 x 8 = 24 entries" \
         in capsys.readouterr().err
-    monkeypatch.setenv("EXTLAB_CAP_CELLS", "60")
+    monkeypatch.setenv("EXTLAB_CAP_CELLS", "24")
     assert main(["periodic", path, "--period", "4"]) == 0
     capsys.readouterr()
 

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -687,6 +688,82 @@ def assert_orbit_pullback_is_dense(res):
     for W in windows:
         assert pullback_periodic(res, W).masses \
             == dense_pullback(nu, periods, W).masses, (periods, W)
+
+
+def _symmetrised(mu, reverse, swap):
+    """A 1-D base over {0, 1} averaged over reading its words reversed
+    (when `reverse`) and its symbols swapped (when `swap`)."""
+    maps = [lambda w: w]
+    if reverse:
+        maps.append(lambda w: w[::-1])
+    if swap:
+        maps += [lambda w, f=f: tuple(1 - a for a in f(w)) for f in maps]
+    masses = defaultdict(F)
+    for w, m in mu.masses.items():
+        for f in maps:
+            masses[f(w)] += m / len(maps)
+    return Measure(mu.domain, mu.alphabet, masses)
+
+
+def seeded_symmetric_tori(seed):
+    """(base, periods) pairs whose bases have symmetries: product
+    measures, reversal- and swap-symmetric 1-D bases, the uniform 2x2
+    base on small tori, and the disconnected base on two cycles."""
+    rng = random.Random(seed)
+    cases = [(disconnected_counterexample(), (8,)),
+             (disconnected_counterexample(), (5,))]
+    for _ in range(3):
+        p = F(rng.randint(1, 4), 5)
+        cases.append((Measure.product_measure([p, 1 - p], Domain.box(2, 2)),
+                      rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])))
+        cases.append((Measure.product_measure(
+            [p, 1 - p], Domain.interval(0, 2)), (rng.randint(3, 7),)))
+    for reverse, swap in ((True, False), (False, True), (True, True)):
+        for _ in range(3):
+            U = Domain.interval(0, rng.randint(1, 2))
+            base = random_periodic_base(U, 2, (rng.choice([2, 3, 4]),), rng,
+                                        count=rng.randint(1, 3))
+            cases.append((_symmetrised(base, reverse, swap),
+                          (rng.randint(len(U), 8),)))
+    uniform = Measure.uniform(Domain.box(2, 2), 2)
+    cases += [(uniform, periods) for periods in ((2, 2), (2, 3), (3, 3))]
+    return cases
+
+
+def test_torus_quotient_matches_the_identity_group(monkeypatch):
+    # the LP on the quotient by the base's symmetries gives the verdict
+    # of the unreduced LP, solved with only the identity kept, and its
+    # feasible point pulls back exactly
+    stabiliser = engine.stabiliser
+    kinds = set()
+    for mu, periods in seeded_symmetric_tori(28):
+        res = periodic_extension(mu, periods)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "stabiliser",
+                          lambda mu, W: stabiliser(mu, W)[:1])
+            assert periodic_extension(mu, periods).status == res.status, \
+                (mu.masses, periods)
+        if res.status == FEASIBLE:
+            assert pullback_periodic(res, mu.domain).masses == mu.masses
+            assert_orbit_pullback_is_dense(res)
+        # a torus with no admissible configuration needs no group
+        order = len(stabiliser(mu, Domain.box(len(periods), periods)))
+        kinds.add((order > 1 and res.config_count > 0, res.status))
+    assert {(True, FEASIBLE), (True, INFEASIBLE)} <= kinds
+
+
+def test_a_non_symmetry_on_the_torus_raises(monkeypatch):
+    # the symbol swap is no symmetry of a biased product base or of the
+    # counter(3) base: it changes a marginal row of the first and maps
+    # admissible configurations of the second outside its torus LP
+    stabiliser = engine.stabiliser
+    monkeypatch.setattr(engine, "stabiliser", lambda mu, W: stabiliser(
+        mu, W) + [(list(range(len(W))), (1, 0))])
+    product = Measure.product_measure([F(1, 3), F(2, 3)], Domain.box(2, 2))
+    with pytest.raises(AssertionError, match="row"):
+        periodic_extension(product, (3, 3))
+    with pytest.raises(AssertionError, match="admissible"):
+        periodic_extension(binary_counter_measure(3), (4, 4))
 
 
 def test_disconnected_has_no_periodic_extension():

@@ -386,33 +386,67 @@ def test_simplex_results_pinned(monkeypatch):
         return solved[-1]
     monkeypatch.setattr(engine, "solve_feasibility", spy)
     counter3 = binary_counter_measure(3)
+    # bases whose only symmetry on the torus is the identity
     for base, periods, digest, status, pivots in (
             (counter3, (4, 8), "8b0baf84c32668c7", FEASIBLE, 4),
             (counter3, (4, 4), "4a615b6206cf00e8", FEASIBLE, 3),
             # no admissible configuration: no variable, "0 == 1"
             (counter3, (4, 2), "bf974eb1be9ddeb5", INFEASIBLE, 0),
             (binary_counter_measure(4), (5, 8), "ad470e4f460816bd",
-             FEASIBLE, 12),
-            (disconnected_counterexample(), (8,), "d8ee79f8b0ca420b",
-             INFEASIBLE, 2),
-            (random_stationary_measure(2, 3, random.Random(5)), (6,),
-             "9384de70f2ebd004", FEASIBLE, 5)):
+             FEASIBLE, 12)):
         systems.clear()
         solved.clear()
         assert engine.periodic_extension(base, periods).status == status
         assert (systems[0].digest(), solved[0].status, solved[0].pivots) \
             == (digest, status, pivots), periods
-    systems.clear()
-    solved.clear()
+    # bases with symmetries, on the unreduced LP: only the identity kept
+    # (the disconnected base swaps its symbols, the random one reads the
+    # same reversed, the product base keeps the square's reflections)
+    disconnected = disconnected_counterexample()
+    reversible = random_stationary_measure(2, 3, random.Random(5))
     product = Measure.product_measure([F(1, 3), F(2, 3)], Domain.box(2, 2))
-    res = engine.periodic_extension(product, (3, 4))
-    assert res.status == FEASIBLE
-    assert systems[0].digest() == "1155e249c97226b5"
-    assert solved[0].pivots == 19
-    assert _assignment_digest(solved[0].assignment) == "ff1b5eff7824c9ae"
-    assert _digest(sorted((k, str(v)) for k, v in
-                          res.torus_measure.masses.items())) \
-        == "226353ef0e755ae1"
+    stabiliser = engine.stabiliser
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "stabiliser",
+                      lambda mu, W: stabiliser(mu, W)[:1])
+        for base, periods, digest, status, pivots in (
+                (disconnected, (8,), "d8ee79f8b0ca420b", INFEASIBLE, 2),
+                (reversible, (6,), "9384de70f2ebd004", FEASIBLE, 5)):
+            systems.clear()
+            solved.clear()
+            assert engine.periodic_extension(base, periods).status == status
+            assert (systems[0].digest(), solved[0].status,
+                    solved[0].pivots) == (digest, status, pivots), periods
+        systems.clear()
+        solved.clear()
+        res = engine.periodic_extension(product, (3, 4))
+        assert res.status == FEASIBLE
+        assert systems[0].digest() == "1155e249c97226b5"
+        assert solved[0].pivots == 19
+        assert _assignment_digest(solved[0].assignment) == "ff1b5eff7824c9ae"
+        assert _digest(sorted((k, str(v)) for k, v in
+                              res.torus_measure.masses.items())) \
+            == "226353ef0e755ae1"
+    # the same bases on the quotient by their symmetries: (base, periods,
+    # |G|, variables, rows, pivots, torus_measure digest or "-")
+    uniform = Measure.uniform(Domain.box(2, 2), 2)
+    for base, periods, order, nvars, nrows, pivots, digest in (
+            (disconnected, (8,), 2, 1, 3, 1, "-"),
+            (reversible, (6,), 2, 13, 7, 5, "a262c9de6f386447"),
+            (product, (3, 4), 4, 158, 8, 10, "4c043612d95c3152"),
+            # every member at 1/65,536: the warm start, 0 pivots
+            (uniform, (4, 4), 16, 433, 5, 0, "793739614aec1bae"),
+            (product, (4, 4), 8, 805, 7, 6, "f32ffda7fdeeeeb5")):
+        systems.clear()
+        solved.clear()
+        res = engine.periodic_extension(base, periods)
+        measure = res.torus_measure
+        got = (len(engine.stabiliser(base, Domain.box(len(periods), periods))),
+               len(systems[0].variables), len(systems[0].equalities),
+               solved[0].pivots,
+               _digest(sorted((k, str(v)) for k, v in measure.masses.items()))
+               if measure else "-")
+        assert got == (order, nvars, nrows, pivots, digest), periods
 
     for seed, (status, pivots, digest) in PINNED_SYSTEMS.items():
         res = solve_feasibility(*seeded_rational_system(seed))
