@@ -19,7 +19,7 @@ across given overlaps, with base marginal mu at given placements.
 
 In the torus layer a configuration is one packed int (_Codec), whose
 order is lexicographic, and a unit translation is a shift-and-mask pair
-(_unit_steps); tuples appear only at the public boundaries.
+(_Codec.steps); tuples appear only at the public boundaries.
 """
 
 import bisect
@@ -88,13 +88,11 @@ def _class_lp(mu, classes, names, placements, overlaps=(), word_maps=()):
     """
     system = LinearSystem()
     size = {v: n for v, (_, n) in zip(names, classes)}
-    total = Counter()
-    for v, (_, n) in zip(names, classes):
-        total[v] += n
-    for name in total:
+    shared = Counter(names)     # the classes of each variable
+    for name in shared:
         system.add_variable(name, nonneg=True)
     reps = [rep for rep, _ in classes]
-    system.add_eq(total, 1)
+    system.add_eq({v: k * size[v] for v, k in shared.items()}, 1)
     for left, right in overlaps:
         rows = defaultdict(Counter)
         for v, b, c in zip(names, map(_reader(left), reps),
@@ -441,24 +439,68 @@ def _arc(coords, P):
     return lo, P + 1 - gap
 
 
+def _strides(periods):
+    """The stride of each axis in module order, first axis outermost."""
+    return [math.prod(periods[a + 1:]) for a in range(len(periods))]
+
+
 class _Codec:
-    """Configurations of n cells over A symbols as ints, for every A:
-    cell i is the field of w = max(1, bit length of A - 1) bits at bit
-    offset shifts[i] = (n - 1 - i) * w, so cell 0 is the most
-    significant and int order is the lexicographic order of the tuples.
+    """Configurations of the torus of the periods over A symbols as ints,
+    for every A: of its n cells in module order, cell i is the field of
+    w = max(1, bit length of A - 1) bits at bit offset shifts[i] = (n - 1
+    - i) * w, so cell 0 is the most significant and int order is the
+    lexicographic order of the tuples.
+
+    A unit translation is a shift-and-mask step per axis of period > 1,
+    (r, keep, l, wrap): x steps by one cell along that axis to x >> r &
+    keep | x << l & wrap.  Along an axis of stride s each block of p * s
+    cells rolls by s: cell i reads cell i - s, or on the block's first s
+    cells (`wrap`) cell i + (p - 1) s.  The masks are read from bit
+    strings; no |cells| x |cells| table is built.
     """
 
-    def __init__(self, alphabet, ncells):
-        self.alphabet, self.ncells = alphabet, ncells
+    def __init__(self, alphabet, periods):
+        self.alphabet = alphabet
+        self.ncells = n = math.prod(periods)
         self.width = w = max(1, (alphabet - 1).bit_length())
-        self.shifts = range((ncells - 1) * w, -1, -w)
+        self.mask = (1 << w) - 1
+        self.shifts = range((n - 1) * w, -1, -w)
+        steps = self.steps = []
+        for p, s in zip(periods, _strides(periods)):
+            if p > 1:
+                r = s * w
+                wrap = int(("1" * r + "0" * (p - 1) * r) * (n // (p * s)), 2)
+                steps.append((r, (1 << n * w) - 1 ^ wrap, (p - 1) * r, wrap))
 
     def pack(self, cfg):
         return sum(map(lshift, cfg, self.shifts))
 
     def unpack(self, x):
-        mask = (1 << self.width) - 1
+        mask = self.mask
         return tuple([x >> s & mask for s in self.shifts])
+
+    def translates(self, x):
+        """The distinct translates of x, in order of the first cell g (in
+        module order) that gives each: axis by axis, each translate so far
+        is stepped until it comes back."""
+        out = [x]
+        for r, keep, l, wrap in self.steps:
+            seen = {}
+            for t in out:
+                while t not in seen:
+                    seen[t] = None
+                    t = t >> r & keep | t << l & wrap
+            out = list(seen)
+        return out
+
+    def field_map(self, positions, pi):
+        """The map of packed configurations by one symmetry (positions, pi)
+        of symmetry.stabiliser on the torus box: the image y of x has
+        y[positions[i]] = pi[x[i]]."""
+        mask, shifts = self.mask, self.shifts
+        src = [r for _, r in sorted(zip(positions, shifts))]  # per image cell
+        return lambda x: sum(map(lshift, [pi[x >> r & mask] for r in src],
+                                 shifts))
 
     def every(self):
         """All A^n configurations, increasing: two halves' fillings joined."""
@@ -550,7 +592,7 @@ class _StripWalk:
         self.P = P = periods[a]
         self.m = m = n // P
         self.node_cap = node_cap
-        self.codec = _Codec(A, n)
+        self.codec = _Codec(A, periods)
         # U folded along a; in the layout, the other axes in module order
         folded = [u[:a] + ((u[a] - lo) % P,) + u[a + 1:] for u in U.points]
         spans = periods[:a] + (1,) + periods[a + 1:]    # one slice along a
@@ -733,87 +775,38 @@ class PeriodicExtensionResult:
         """The dense measure on every orbit member, None unless feasible."""
         if self.status != FEASIBLE:
             return None
-        codec = _Codec(self.alphabet, self.module.size)
-        steps = _unit_steps(self.module.periods, codec.width)
+        codec = _Codec(self.alphabet, self.module.periods)
         masses = {codec.unpack(t): mass for cfg, _, mass in self.orbits
-                  for t in _translates(codec.pack(cfg), steps)}
+                  for t in codec.translates(codec.pack(cfg))}
         cells = Domain(self.module.dim, self.module.elements())
         return Measure(cells, self.alphabet, masses)
 
 
-def _strides(periods):
-    """The stride of each axis in module order, first axis outermost."""
-    return [math.prod(periods[a + 1:]) for a in range(len(periods))]
-
-
-def _unit_steps(periods, width):
-    """One (r, keep, l, wrap) per axis of period > 1: a configuration t
-    packed in fields of `width` bits (_Codec) steps by one cell along
-    that axis to t >> r & keep | t << l & wrap.  Along an axis of stride
-    s each block of p * s cells rolls by s: cell i reads cell i - s, or
-    on the block's first s cells (`wrap`) cell i + (p - 1) s.  The masks
-    are read from bit strings; no |cells| x |cells| table is built."""
-    n = math.prod(periods)
-    steps = []
-    for p, stride in zip(periods, _strides(periods)):
-        if p > 1:
-            r = stride * width
-            wrap = int(("1" * r + "0" * (p - 1) * r) * (n // (p * stride)), 2)
-            steps.append((r, (1 << n * width) - 1 ^ wrap, (p - 1) * r, wrap))
-    return steps
-
-
-def _translates(cfg, steps):
-    """The distinct translates of a packed configuration, in order of the
-    first cell g (in module.elements() order) that gives each: axis by
-    axis, each translate so far is stepped until it comes back."""
-    out = [cfg]
-    for r, keep, l, wrap in steps:
-        seen = {}
-        for t in out:
-            while t not in seen:
-                seen[t] = None
-                t = t >> r & keep | t << l & wrap
-        out = list(seen)
-    return out
-
-
-def _orbit_partition(configs, module, width, group=()):
-    """(least member, size) of each translation orbit of the packed
-    configurations, in order of the orbit's first configuration.
+def _orbit_partition(configs, codec, group=()):
+    """(least member, size, class) of each translation orbit of the
+    configurations, packed by codec, sorted by least member.
 
     An orbit holds every translate of its configurations, whether or not
     that translate is in `configs` (compute_H counts such translates).
+    Classes are numbered in order of their first configuration; without
+    a group, each orbit is its own class.
 
     Given `group` (symmetry.stabiliser on the torus box, its positions
-    read in module order) and `configs` sorted, the entries are (least,
-    size, class), sorted by least member, and a class is the union of the
-    orbits the group maps onto each other, numbered in order of its
-    least member.  Each element is applied only to the first
-    configuration of a new class: every member is t h x for a translation
-    t, and g t h x = t' g h x.  An image outside `configs`, or on an orbit
-    of another size than the class's first, raises AssertionError.
+    read in module order, the identity first) and `configs` sorted, a
+    class is the union of the orbits the group maps onto each other.
+    Each element is applied only to the first configuration of a new
+    class: every member is t h x for a translation t, and g t h x = t' g
+    h x.  An image outside `configs`, or on an orbit of another size than
+    the class's first, raises AssertionError.
     """
-    steps = _unit_steps(module.periods, width)
-    shifts = range((module.size - 1) * width, -1, -width)
-    mask = (1 << width) - 1
-    # per element, the bit offset each image cell reads, and the symbol map
-    maps = []
-    for positions, pi in group[1:]:
-        src = [0] * module.size
-        for i, j in enumerate(positions):
-            src[j] = shifts[i]
-        maps.append((src, pi))
-    orbits, done, k = [], set(), 0
-    for cfg in configs:
-        if cfg in done:
-            continue
-        images = [cfg] + [sum(map(lshift, [pi[cfg >> r & mask] for r in src],
-                                  shifts)) for src, pi in maps]
-        for image in images:
+    maps = [codec.field_map(*g) for g in group[1:]]
+    orbits, done = [], set()
+    # each configuration in no orbit yet opens the next class
+    for k, cfg in enumerate(x for x in configs if x not in done):
+        for image in [cfg] + [f(cfg) for f in maps]:
             if image in done:
                 continue
-            orbit = _translates(image, steps)
+            orbit = codec.translates(image)
             if image != cfg:
                 i = bisect.bisect_left(configs, image)
                 if configs[i:i + 1] != [image] or len(orbit) != orbits[-1][1]:
@@ -822,10 +815,7 @@ def _orbit_partition(configs, module, width, group=()):
                                          "of its size")
             orbits.append((min(orbit), len(orbit), k))
             done.update(orbit)
-        k += 1
-    if group:
-        return sorted(orbits)
-    return [(least, size) for least, size, _ in orbits]
+    return sorted(orbits)
 
 
 def _word_maps(group, reads):
@@ -834,8 +824,6 @@ def _word_maps(group, reads):
     cells of the placement reads[0] onto those of a placement Q, and a
     word u read at reads[0] onto the word read at Q.  An image that is
     no placement raises AssertionError."""
-    if len(group) < 2:
-        return []
     at = {frozenset(q): q for q in reversed(reads)}
     out = []
     for positions, pi in group[1:]:
@@ -848,11 +836,12 @@ def _word_maps(group, reads):
     return out
 
 
-def _reads(points, periods, strides, spans):
+def _reads(points, periods, strides=None, spans=None):
     """The cells read by each placement points + t on a torus, t_a in
     range(spans[a]), in product order: u + t is cell sum_a ((u_a + t_a)
-    mod p_a) * strides[a].  Module strides and spans equal to the periods
-    read the points at every cell, in module.elements() order."""
+    mod p_a) * strides[a].  By default, module strides and spans equal to
+    the periods read the points at every cell, in module.elements() order."""
+    strides, spans = strides or _strides(periods), spans or periods
     return list(zip(*([sum(c) for c in itertools.product(*(
         [(x + t) % p * s for t in range(k)]
         for x, p, s, k in zip(u, periods, strides, spans)))] for u in points)))
@@ -878,9 +867,9 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     an admissible configuration outside the admissible set or onto an
     orbit of another size, the base domain onto no placement, or a
     marginal row onto a different row raises AssertionError rather than
-    return a verdict.  A feasible
-    quotient gives each member of every orbit of a class the class's
-    mass, and the result is re-checked exactly against mu.
+    return a verdict.  A feasible quotient gives each member of every
+    orbit of a class the class's mass, and the result is re-checked
+    exactly against mu.
     """
     res = is_locally_stationary(mu)
     if not res.ok:
@@ -902,17 +891,15 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     except SearchBudget as exc:
         return PeriodicExtensionResult(ABORTED, module, mu.alphabet, [],
                                        warning, reason=str(exc))
-    group = stabiliser(mu, Domain.box(module.dim, module.periods)) \
-        if configs else ()
-    partition = _orbit_partition(configs, module, walk.codec.width, group)
+    group = stabiliser(mu, Domain.box(module.dim, module.periods))
+    partition = _orbit_partition(configs, walk.codec, group)
     orbits = [(walk.codec.unpack(least), size) for least, size, _ in partition]
     names = [f"y{k}" for _, _, k in partition]
-    reads = _reads(mu.domain.points, module.periods,
-                   _strides(module.periods), module.periods)
+    reads = _reads(mu.domain.points, module.periods)
     system = _class_lp(mu, orbits, names, [reads],
                        word_maps=_word_maps(group, reads))
 
-    warm = {v: Fraction(1, len(configs)) for v in names} if configs else None
+    warm = dict.fromkeys(names, Fraction(1, len(configs))) if configs else None
     sol = solve_feasibility(system, pivot_limit=pivot_limit, warm_start=warm)
     result = PeriodicExtensionResult(
         sol.status, module, mu.alphabet, envelope_warning=warning,
@@ -921,10 +908,9 @@ def periodic_extension(mu, periods, node_cap=10 ** 7, config_cap=10 ** 6,
     if sol.status != FEASIBLE:
         return result
 
-    for v, (least, size) in zip(names, orbits):
-        y = sol.assignment[v]
-        if y != 0:
-            result.orbits.append((least, size, y))
+    result.orbits = [(least, size, sol.assignment[v])
+                     for v, (least, size) in zip(names, orbits)
+                     if sol.assignment[v]]
     # exact re-check of the defining marginal property
     if pullback_periodic(result, mu.domain).masses != mu.masses:
         raise AssertionError("torus solution fails exact marginal re-check")
@@ -943,8 +929,7 @@ def pullback_periodic(result, W):
               for _, size, mass in result.orbits]
     out = defaultdict(int)
     # (word, share) pairs counted over every read of every orbit at once
-    reads = _reads(W.points, module.periods, _strides(module.periods),
-                   module.periods)
+    reads = _reads(W.points, module.periods)
     for (u, share), k in _read_counts(least, shares, reads).items():
         out[u] += share * k
     den = lcm * module.size
@@ -961,13 +946,12 @@ def compute_H(module, U, alphabet):
     The count covers all their translates under the module action (the
     trivial character included).
     """
-    codec = _Codec(alphabet, module.size)
-    origin, = _reads(U.points, module.periods, _strides(module.periods),
-                     (1,) * module.dim)
+    codec = _Codec(alphabet, module.periods)
+    origin, = _reads(U.points, module.periods, spans=(1,) * module.dim)
     shifts = sorted({codec.shifts[i] for i in origin})
     words = [sum(map(lshift, exps, shifts)) for exps
              in itertools.product(range(alphabet), repeat=len(shifts))]
-    return sum(n for _, n in _orbit_partition(words, module, codec.width))
+    return sum(n for _, n, _ in _orbit_partition(words, codec))
 
 
 def epsilon_bound(result, U):

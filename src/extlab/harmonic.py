@@ -130,8 +130,10 @@ def check_stationarity_fourier(mu):
     mirrors the exact marginal-overlap criterion.  A character moves by
     k when those positions lie in the overlap's `left` positions (to
     `right`), and by -k when they lie in `right`.  Both coefficients are
-    read from one table; they agree when they differ by at most TOL.
-    Returns (ok, witness) with witness (chi, k).
+    read from one table; they agree when they differ by at most TOL, so
+    this is a float cross-check, not a decision: overlap marginals 10^-12
+    apart pass it, and measures.is_locally_stationary, the exact check
+    the CLI reports, rejects them.  Returns (ok, witness), witness (chi, k).
     """
     coeffs = fourier_transform(mu)
     shifts = []

@@ -11,9 +11,9 @@ against the system, also in ints: each constraint is stored only in its
 integer form (_int_row), made when it is added.  The tableau reads it,
 LinearSystem.check sums it against the point put over one common
 denominator, and dumps renders it as Fractions.  Vertex enumeration runs
-phase 1 once and phase 2 per objective from a copy of its tableau.  A
-pivot cap turns pathological instances into an explicit "aborted"
-verdict rather than a wrong answer.
+phase 1 once and phase 2 per objective from a copy of its tableau, and
+reads out each basis once.  A pivot cap turns pathological instances
+into an explicit "aborted" verdict rather than a wrong answer.
 """
 
 import hashlib
@@ -317,21 +317,25 @@ def _phase1(system, pivot_limit):
     return FEASIBLE, tab, cols
 
 
+def _maximize(tab, cols, objective, pivot_limit):
+    """tab.maximize's verdict on a rational objective."""
+    # each variable owns its columns: the objective's integer form
+    cost = [0] * tab.ncols
+    for v, c in _int_row(objective, 0)[1].items():
+        plus, minus = cols[v]
+        cost[plus] = c
+        if minus is not None:
+            cost[minus] = -c
+    return tab.maximize(cost, pivot_limit)
+
+
 def _phase2(system, tab, cols, objective, pivot_limit):
     """Maximize a rational objective (if any) from phase 1's basis in
     tab, then read the point out and check it against the system."""
-    if objective is not None:
-        # each variable owns its columns: the objective's integer form
-        cost = [0] * tab.ncols
-        for v, c in _int_row(objective, 0)[1].items():
-            plus, minus = cols[v]
-            cost[plus] = c
-            if minus is not None:
-                cost[minus] = -c
-        # "unbounded" is feasible with no optimum: keep the current point
-        if tab.maximize(cost, pivot_limit) == "aborted":
-            return FeasibilityResult(ABORTED, pivots=tab.pivots)
-
+    # "unbounded" is feasible with no optimum: keep the current point
+    if objective is not None \
+            and _maximize(tab, cols, objective, pivot_limit) == "aborted":
+        return FeasibilityResult(ABORTED, pivots=tab.pivots)
     Z = Fraction(0)
     values = [Z] * tab.ncols
     for row, b in zip(tab.rows, tab.basis):
@@ -373,7 +377,9 @@ def enumerate_vertices(system, max_count=50, seed=0,
     is the unique optimum of some objective, so with enough tries this
     would find them all; the fixed try budget promises no completeness.
     Phase 1 runs once; each try runs phase 2 on a copy of its tableau,
-    phase 1's pivots counted, exactly as solve_feasibility would.
+    phase 1's pivots counted, exactly as solve_feasibility would.  A
+    basis (a set of columns) has one point, so a try ending on a basis
+    read before is skipped: its point is neither read out nor checked.
     """
     rng = random.Random(seed)
     if max_count <= 0:
@@ -381,18 +387,20 @@ def enumerate_vertices(system, max_count=50, seed=0,
     status, tab, cols = _phase1(system, pivot_limit)
     if status != FEASIBLE:
         return []
-    vertices = []
-    seen = set()
+    vertices, seen, bases = [], set(), set()
     for _ in range(8 * max_count):
         if len(vertices) >= max_count:
             break
         objective = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                      for v in system.variables}
-        res = _phase2(system, tab.copy(), cols, objective, pivot_limit)
-        if res.status != FEASIBLE:
+        run = tab.copy()
+        if _maximize(run, cols, objective, pivot_limit) == "aborted" \
+                or frozenset(run.basis) in bases:
             continue
-        key = tuple(res.assignment[v] for v in system.variables)
+        bases.add(frozenset(run.basis))
+        point = _phase2(system, run, cols, None, pivot_limit).assignment
+        key = tuple(point[v] for v in system.variables)
         if key not in seen:
             seen.add(key)
-            vertices.append(res.assignment)
+            vertices.append(point)
     return vertices

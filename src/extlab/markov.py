@@ -7,6 +7,7 @@ extensions of the base, this one maximizes entropy rate.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .lattice import Domain, CapExceeded, cell_cap
 from .measures import Measure, is_locally_stationary, finite_window_entropy
@@ -74,17 +75,21 @@ class MarkovExtension:
         # as the base is locally stationary
         steps = {tail: [] for tail in self.prefix.masses}
         for w in sorted(self.base.masses):
-            steps[w[:m]].append((w[m], self._step(w[:m], w[m])))
-        current = self.base.masses
+            p = self._step(w[:m], w[m])
+            steps[w[:m]].append((w[m], p.numerator, p.denominator))
+        # masses as int pairs (numerator, denominator), reduced at the end
+        current = {w: (x.numerator, x.denominator)
+                   for w, x in self.base.masses.items()}
         for _ in range(n - m - 1):
             nxt = {}
-            for w, mass in current.items():
-                for a, p in steps[w[len(w) - m:]]:
-                    nxt[w + (a,)] = mass * p
+            for w, (num, den) in current.items():
+                for a, p, q in steps[w[len(w) - m:]]:
+                    nxt[w + (a,)] = (num * p, den * q)
                 if len(nxt) > cap:
                     raise CapExceeded(f"window {n} passes {cap} words")
             current = nxt
-        return Measure(Domain.interval(0, n - 1), self.base.alphabet, current)
+        return Measure(Domain.interval(0, n - 1), self.base.alphabet,
+                       {w: Fraction(*x) for w, x in current.items()})
 
 
 @dataclass(frozen=True)

@@ -826,39 +826,68 @@ def test_counter_1_torus_orbit():
     assert pb.masses == mu.masses
 
 
-def test_orbit_partition_matches_translate_table():
-    # orbits by shift-and-mask steps on packed configurations against
-    # the full |cells| x |cells| translate table: the same least member
-    # and size, in the same order, on 1-D, 2-D and 3-D tori, with fields
-    # of 1, 2 and 9 bits
-    rng = random.Random(20)
+def seeded_orbit_cases(seed, trials):
+    """(configs, periods, alphabet) on 1-D, 2-D and 3-D tori, with fields
+    of 1, 2 and 9 bits, in no particular order; every other case is
+    translation-closed, as the torus search lists them."""
+    rng = random.Random(seed)
     shapes = [(1,), (5,), (6,), (2, 3), (3, 3), (4, 2), (1, 4), (2, 2, 2),
               (2, 1, 3), (3, 2, 2)]
-
-    def orbits(configs, periods, alphabet):
-        module = FiniteModule(periods)
-        codec = engine._Codec(alphabet, module.size)
-        return [(codec.unpack(least), size) for least, size
-                in engine._orbit_partition(list(map(codec.pack, configs)),
-                                           module, codec.width)]
-
-    for trial in range(300):
+    for trial in range(trials):
         periods = shapes[trial % len(shapes)]
         ncells = len(translate_table(periods))
         alphabet = rng.choice([2, 3, 257])
         seeds = [tuple(rng.randrange(alphabet) for _ in range(ncells))
                  for _ in range(rng.randint(1, 6))]
-        if trial % 2:  # translation-closed, as the torus search lists them
+        if trial % 2:
             seeds = [t for o in reference_orbit_partition(seeds, periods)
                      for t in o]
             rng.shuffle(seeds)
-        configs = list(dict.fromkeys(seeds))
-        assert orbits(configs, periods, alphabet) \
-            == [(o[0], len(o)) for o in
-                reference_orbit_partition(configs, periods)], (trial, periods)
+        yield list(dict.fromkeys(seeds)), periods, alphabet
+
+
+def packed_orbits(configs, periods, alphabet, group=()):
+    """_orbit_partition on the packed configurations, least members
+    unpacked."""
+    codec = engine._Codec(alphabet, periods)
+    return [(codec.unpack(least), size, k) for least, size, k
+            in engine._orbit_partition(list(map(codec.pack, configs)),
+                                       codec, group)]
+
+
+def reference_orbits(configs, periods):
+    """(least member, size) of each orbit, sorted by least member."""
+    return sorted((o[0], len(o))
+                  for o in reference_orbit_partition(configs, periods))
+
+
+def test_orbit_partition_matches_translate_table():
+    # orbits by shift-and-mask steps on packed configurations against
+    # the full |cells| x |cells| translate table: the same least member
+    # and size, sorted by least member, each orbit its own class
+    for configs, periods, alphabet in seeded_orbit_cases(20, 300):
+        got = packed_orbits(configs, periods, alphabet)
+        assert [(least, size) for least, size, _ in got] \
+            == reference_orbits(configs, periods), periods
+        assert sorted(k for _, _, k in got) == list(range(len(got)))
     every = list(itertools.product(range(2), repeat=16))
-    assert orbits(every, (4, 4), 2) \
-        == [(o[0], len(o)) for o in reference_orbit_partition(every, (4, 4))]
+    assert [(least, size) for least, size, _
+            in packed_orbits(every, (4, 4), 2)] \
+        == reference_orbits(every, (4, 4))
+
+
+def test_orbit_partition_with_the_identity_alone_is_no_group():
+    # the identity element of the torus box's group merges no orbits:
+    # the partition equals the one without a group, and both equal the
+    # translate table's
+    for configs, periods, alphabet in seeded_orbit_cases(23, 60):
+        base = Measure.uniform(Domain.box(len(periods), 1), alphabet)
+        identity = engine.stabiliser(
+            base, Domain.box(len(periods), periods))[:1]
+        got = packed_orbits(configs, periods, alphabet, identity)
+        assert got == packed_orbits(configs, periods, alphabet)
+        assert [(least, size) for least, size, _ in got] \
+            == reference_orbits(configs, periods)
 
 
 def test_torus_measure_lists_translates_in_cell_order():

@@ -1,13 +1,22 @@
-"""Every module-level import in extlab's modules is used in that module.
+"""Every module-level import in extlab's modules is used in that module,
+and every name the benchmark's tracer wraps is there to wrap.
 
 The package's __init__.py imports names only to re-export them, so it
 is left out.
 """
 
 import ast
+import importlib
+import importlib.util
+import pkgutil
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "extlab"
+import extlab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "extlab"
 
 
 def unused_imports(source):
@@ -35,3 +44,24 @@ def test_no_unused_module_imports():
              for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_tracer_finds_every_wrapped_name():
+    # perfbench/tracing.py wraps extlab's functions and methods by name;
+    # building its wrappers, without installing them, fails on a rename
+    # of a wrapped name such as engine._orbit_partition, and leaves
+    # every module and class as it was
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    lib = SimpleNamespace(**{
+        m.name: importlib.import_module("extlab." + m.name)
+        for m in pkgutil.iter_modules(extlab.__path__)})
+    tracer = tracing.Tracer(time.perf_counter)
+    tracer.wrap(lib)
+    swapped = {(owner, attr) for owner, attr, _, _ in tracer.swaps}
+    targets = tracing.function_targets(lib) + tracing.method_targets(lib)
+    assert {(owner, attr) for owner, attr, _, _ in targets} <= swapped
+    assert all(vars(owner)[attr] is original
+               for owner, attr, original, _ in tracer.swaps)

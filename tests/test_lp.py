@@ -563,3 +563,33 @@ def test_vertex_enumeration_runs_phase_one_once(monkeypatch):
     assert len(calls) == 1
     assert enumerate_vertices(polytope.system, max_count=0) == []
     assert len(calls) == 1
+
+
+def test_window_polytope_vertices_skip_bases_read_before(monkeypatch):
+    # the window-lp vertex ops: seeded stationary binary pairs on windows
+    # of 3 and 4 sites, 12 vertices each.  A try that ends on a basis
+    # read before is that vertex again, so the lists equal a whole solve
+    # per try while fewer points are checked.
+    checks = []
+    check = LinearSystem.check
+
+    def spy(self, assignment):
+        checks.append(None)
+        return check(self, assignment)
+    monkeypatch.setattr(LinearSystem, "check", spy)
+    rng = random.Random(20011)
+    read, solved = 0, 0
+    for _ in range(4):
+        mu = random_stationary_measure(2, 2, rng)
+        seed = rng.randrange(2 ** 16)
+        for n in (3, 4):
+            system = engine.build_window_polytope(
+                mu, Domain.interval(0, n - 1)).system
+            del checks[:]
+            got = enumerate_vertices(system, max_count=12, seed=seed)
+            read += len(checks)
+            del checks[:]
+            assert got == reference_vertices(system, max_count=12, seed=seed)
+            solved += len(checks)
+            assert len(got) > 1
+    assert read < solved
